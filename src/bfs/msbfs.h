@@ -17,20 +17,30 @@
 // BFS parents; like the single-source parallel kernels they are
 // tie-broken nondeterministically under top-down races (levels never
 // are).
+//
+// A pass records only what its caller reads (MsBfsRequest): a full
+// tree, a level row in caller storage, or single (lane, target) cells.
+// A lane leaves the traversal — the `live` mask every step reads — as
+// soon as its frontier empties or, for a cells-only lane, its last
+// target is answered, so a point query stops at the target's distance
+// instead of exhausting the component.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bfs/frontier.h"
 #include "bfs/state.h"
 #include "check/contract.h"
+#include "graph/bitmap.h"
 #include "graph/view.h"
 
 namespace bfsx::bfs {
@@ -54,8 +64,36 @@ struct MsBfsOptions {
   double n = 24.0;
 };
 
+/// What one lane of a pass records for its caller.
+struct MsLane {
+  enum class Record {
+    kTree,   ///< parent and level maps, totals, and per-level counters
+    kRow,    ///< the level map only, written into `row`
+    kCells,  ///< nothing but the MsBfsRequest::cells naming this lane
+  };
+  graph::vid_t root = 0;
+  Record record = Record::kTree;
+  /// kRow only: caller storage of num_vertices() cells. The pass writes
+  /// every cell: the vertex's level, or -1 when unreached.
+  std::span<std::int32_t> row;
+};
+
+/// One point answer a pass computes: the level of `target` in lane
+/// `lane`'s traversal, or -1 when the lane never reaches it.
+struct MsCell {
+  int lane = 0;
+  graph::vid_t target = 0;
+};
+
+/// One pass: its lanes (root and what each records) and its cells.
+struct MsBfsRequest {
+  std::vector<MsLane> lanes;
+  std::vector<MsCell> cells;
+};
+
 /// Per-lane per-level work counters — the same quantities LevelTrace
-/// records for a single-source traversal, extracted from the lane masks.
+/// records for a single-source traversal, counted from a tree lane's
+/// level map.
 struct MsLaneLevel {
   std::int32_t level = 0;
   graph::vid_t frontier_vertices = 0;  // |V|cq for this lane
@@ -68,19 +106,23 @@ struct MsLaneLevel {
 struct MsUnionLevel {
   std::int32_t level = 0;
   Direction direction = Direction::kTopDown;
-  graph::vid_t frontier_vertices = 0;  // distinct active vertices
+  graph::vid_t frontier_vertices = 0;  // distinct vertices live lanes carry
   graph::eid_t frontier_edges = 0;     // out-edges of the union frontier
   graph::vid_t next_vertices = 0;      // distinct vertices discovered
+  double seconds = 0.0;                // measured wall time of the level
 };
 
 struct MsBfsResult {
-  /// One full BfsResult per requested root, in request order. Duplicate
-  /// roots yield independent (identical-level) lanes.
+  /// One entry per lane, in request order. kTree lanes hold a full
+  /// BfsResult; other lanes an empty one. Duplicate roots yield
+  /// independent (identical-level) lanes.
   std::vector<BfsResult> per_root;
-  /// lane_levels[i] holds root i's per-level counters; a lane stops
-  /// contributing entries once its own frontier empties, exactly like a
-  /// single-source traversal's level log.
+  /// lane_levels[i] holds tree lane i's per-level counters (empty for
+  /// other lanes), one entry per level its frontier was non-empty,
+  /// exactly like a single-source traversal's level log.
   std::vector<std::vector<MsLaneLevel>> lane_levels;
+  /// cells[j] answers request.cells[j].
+  std::vector<std::int32_t> cells;
   /// Union-frontier summary of every executed level.
   std::vector<MsUnionLevel> levels;
   std::int32_t depth = 0;  // union depth: levels executed by the batch
@@ -91,17 +133,33 @@ namespace detail {
 
 /// Per-pass working set. Lane l of every mask word is root l's
 /// traversal; `seen` is the 64-lane visited map, `visit` the current
-/// frontier, `visit_next` the one under construction. Parent/level
-/// pointers index straight into the caller-visible per-root results so
-/// discovery writes the final maps with no extraction pass.
+/// frontier, `visit_next` the one under construction, and `discovered`
+/// marks the vertices `visit_next` gained a bit at — the next active
+/// list. Parent/level pointers index straight into the caller-visible
+/// maps so discovery writes them with no extraction pass; they are
+/// null for lanes that record no such map.
 struct MsLaneState {
   std::vector<std::uint64_t> seen;
   std::vector<std::uint64_t> visit;
   std::vector<std::uint64_t> visit_next;
-  std::vector<graph::vid_t*> parent;  // parent[l] = per_root[l].parent.data()
-  std::vector<std::int32_t*> level;   // level[l] = per_root[l].level.data()
-  std::uint64_t full = 0;             // mask of the lanes in use
+  graph::Bitmap discovered;
+  std::array<graph::vid_t*, kMsBfsMaxLanes> parent{};
+  std::array<std::int32_t*, kMsBfsMaxLanes> level{};
+  std::uint64_t maps = 0;  // lanes recording a level map (trees and rows)
+  std::uint64_t live = 0;  // lanes still traversing
 };
+
+/// Writes lane maps for the lanes of `won` that record them.
+inline void ms_record(MsLaneState& s, std::uint64_t won, std::size_t w,
+                      graph::vid_t from, std::int32_t next_level) {
+  std::uint64_t bits = won & s.maps;
+  while (bits != 0) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+    bits &= bits - 1;
+    s.level[l][w] = next_level;
+    if (s.parent[l] != nullptr) s.parent[l][w] = from;
+  }
+}
 
 /// Expands the union frontier top-down. Threads race to claim lanes of
 /// a neighbour with one fetch_or on its `seen` word; the winner of each
@@ -119,7 +177,8 @@ void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
 #pragma omp parallel for schedule(dynamic, 64)
   for (std::int64_t i = 0; i < count; ++i) {
     const graph::vid_t v = active[static_cast<std::size_t>(i)];
-    const std::uint64_t mask = s.visit[static_cast<std::size_t>(v)];
+    const std::uint64_t mask = s.visit[static_cast<std::size_t>(v)] & s.live;
+    if (mask == 0) continue;  // carries only lanes that retired
     g.for_each_out_neighbor(v, [&](graph::vid_t w) {
       const auto wi = static_cast<std::size_t>(w);
       std::atomic_ref<std::uint64_t> seen_w(s.seen[wi]);
@@ -134,24 +193,22 @@ void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
       // already sequences them (no acquire/release needed).
       const std::uint64_t old =
           seen_w.fetch_or(cand, std::memory_order_relaxed);
-      std::uint64_t won = cand & ~old;
+      const std::uint64_t won = cand & ~old;
       if (won == 0) return;
       // mem-order: relaxed — independent bit accumulation; visit_next
       // is only swapped into the read role after the level barrier.
-      std::atomic_ref<std::uint64_t>(s.visit_next[wi])
-          .fetch_or(won, std::memory_order_relaxed);
-      while (won != 0) {
-        const int l = std::countr_zero(won);
-        won &= won - 1;
-        s.parent[static_cast<std::size_t>(l)][wi] = v;
-        s.level[static_cast<std::size_t>(l)][wi] = next_level;
-      }
+      // The one claim that finds the word empty lists `w` as active.
+      const std::uint64_t before =
+          std::atomic_ref<std::uint64_t>(s.visit_next[wi])
+              .fetch_or(won, std::memory_order_relaxed);
+      if (before == 0) s.discovered.set_atomic(wi);
+      ms_record(s, won, wi, v, next_level);
     });
   }
 }
 
-/// Expands bottom-up: every not-fully-seen candidate scans its
-/// in-neighbours and adopts, per still-missing lane, the first one
+/// Expands bottom-up: every candidate some live lane has not seen scans
+/// its in-neighbours and adopts, per still-missing lane, the first one
 /// carrying that lane's frontier bit. Each iteration owns its candidate
 /// exclusively — `seen`/`visit_next` writes need no atomics, and with
 /// the in-adjacency enumerated in the view's deterministic (sorted)
@@ -165,25 +222,21 @@ void ms_bottom_up_step(const V& g,
   for (std::int64_t i = 0; i < count; ++i) {
     const graph::vid_t w = candidates[static_cast<std::size_t>(i)];
     const auto wi = static_cast<std::size_t>(w);
-    std::uint64_t rem = s.full & ~s.seen[wi];
+    std::uint64_t rem = s.live & ~s.seen[wi];
     if (rem == 0) continue;  // straggler a previous level completed
     std::uint64_t acc = 0;
     g.for_each_in_neighbor(w, [&](graph::vid_t u) {
-      std::uint64_t got = s.visit[static_cast<std::size_t>(u)] & rem;
+      const std::uint64_t got = s.visit[static_cast<std::size_t>(u)] & rem;
       if (got == 0) return true;
       acc |= got;
       rem &= ~got;
-      while (got != 0) {
-        const int l = std::countr_zero(got);
-        got &= got - 1;
-        s.parent[static_cast<std::size_t>(l)][wi] = u;
-        s.level[static_cast<std::size_t>(l)][wi] = next_level;
-      }
+      ms_record(s, got, wi, u, next_level);
       return rem != 0;  // all lanes adopted: stop the scan early
     });
     if (acc != 0) {
       s.visit_next[wi] = acc;
       s.seen[wi] |= acc;
+      s.discovered.set_atomic(wi);  // neighbouring candidates share words
     }
   }
 }
@@ -192,106 +245,154 @@ void ms_bottom_up_step(const V& g,
 
 /// Traverses up to kMsBfsMaxLanes roots simultaneously over any
 /// HybridView (CSR via the adapter overload below, delta-CSR epochs,
-/// compressed CSR). Throws std::invalid_argument on an empty or
-/// oversized batch or an out-of-range root. Levels, counters, and
+/// compressed CSR), recording per lane only what `request` asks for.
+/// Throws std::invalid_argument on an empty or oversized batch, an
+/// out-of-range root, cell lane or cell target, or a kRow lane whose
+/// row is not num_vertices() long. Levels, counters, cells and
 /// reached/edge totals are bit-identical for every OMP_NUM_THREADS —
 /// and, for views enumerating identical sorted adjacency, across
 /// representations.
 template <graph::HybridView V>
-[[nodiscard]] MsBfsResult ms_bfs(const V& g,
-                                 std::span<const graph::vid_t> roots,
+[[nodiscard]] MsBfsResult ms_bfs(const V& g, const MsBfsRequest& request,
                                  const MsBfsOptions& opts = {}) {
   using graph::eid_t;
   using graph::vid_t;
+  using Record = MsLane::Record;
 
   const vid_t n = g.num_vertices();
-  const auto lanes = static_cast<int>(roots.size());
+  const auto lanes = static_cast<int>(request.lanes.size());
   if (lanes < 1 || lanes > kMsBfsMaxLanes) {
     throw std::invalid_argument("ms_bfs: batch of " +
-                                std::to_string(roots.size()) +
+                                std::to_string(request.lanes.size()) +
                                 " roots (want 1.." +
                                 std::to_string(kMsBfsMaxLanes) + ")");
   }
-  for (const vid_t r : roots) {
-    if (r < 0 || r >= n) {
-      throw std::invalid_argument("ms_bfs: root " + std::to_string(r) +
-                                  " out of range [0, " + std::to_string(n) +
-                                  ")");
+  const auto check_range = [](const char* what, std::int64_t v,
+                              std::int64_t end) {
+    if (v < 0 || v >= end) {
+      throw std::invalid_argument("ms_bfs: " + std::string(what) + " " +
+                                  std::to_string(v) + " out of range [0, " +
+                                  std::to_string(end) + ")");
     }
+  };
+  for (const MsLane& lane : request.lanes) {
+    check_range("root", lane.root, n);
+    if (lane.record == Record::kRow &&
+        lane.row.size() != static_cast<std::size_t>(n)) {
+      throw std::invalid_argument(
+          "ms_bfs: level row of " + std::to_string(lane.row.size()) +
+          " cells for " + std::to_string(n) + " vertices");
+    }
+  }
+  for (const MsCell& c : request.cells) {
+    check_range("cell lane", c.lane, lanes);
+    check_range("target", c.target, n);
   }
   BFSX_CHECK(opts.m > 0.0 && opts.n > 0.0)
       << "ms_bfs: switching parameters must be positive (M = " << opts.m
       << ", N = " << opts.n << ")";
 
+  using Clock = std::chrono::steady_clock;
   const auto nn = static_cast<std::size_t>(n);
   MsBfsResult out;
   out.per_root.resize(static_cast<std::size_t>(lanes));
   out.lane_levels.resize(static_cast<std::size_t>(lanes));
+  out.cells.assign(request.cells.size(), -1);
 
   detail::MsLaneState s;
   s.seen.assign(nn, 0);
   s.visit.assign(nn, 0);
   s.visit_next.assign(nn, 0);
-  s.parent.resize(static_cast<std::size_t>(lanes));
-  s.level.resize(static_cast<std::size_t>(lanes));
-  s.full = lanes == kMsBfsMaxLanes ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << lanes) - 1;
+  s.discovered.resize_and_reset(nn);
 
+  // Lane maps are the bulk of a pass's memory traffic (8 bytes per
+  // vertex per tree lane), so lanes set them up in parallel.
+#pragma omp parallel for schedule(static)
   for (int l = 0; l < lanes; ++l) {
-    auto& r = out.per_root[static_cast<std::size_t>(l)];
-    r.parent.assign(nn, kNoVertex);
-    r.level.assign(nn, -1);
-    s.parent[static_cast<std::size_t>(l)] = r.parent.data();
-    s.level[static_cast<std::size_t>(l)] = r.level.data();
-    const auto ri =
-        static_cast<std::size_t>(roots[static_cast<std::size_t>(l)]);
-    r.parent[ri] = static_cast<vid_t>(ri);
-    r.level[ri] = 0;
-    s.seen[ri] |= std::uint64_t{1} << l;
-    s.visit[ri] |= std::uint64_t{1} << l;
+    const auto li = static_cast<std::size_t>(l);
+    const MsLane& lane = request.lanes[li];
+    const auto ri = static_cast<std::size_t>(lane.root);
+    if (lane.record == Record::kTree) {
+      BfsResult& r = out.per_root[li];
+      r.parent.assign(nn, kNoVertex);
+      r.level.assign(nn, -1);
+      r.parent[ri] = lane.root;
+      s.parent[li] = r.parent.data();
+      s.level[li] = r.level.data();
+    } else if (lane.record == Record::kRow) {
+      std::fill(lane.row.begin(), lane.row.end(), -1);
+      s.level[li] = lane.row.data();
+    }
+    if (s.level[li] != nullptr) s.level[li][ri] = 0;
   }
 
-  // Union frontier as a vertex list. Duplicate roots share one entry —
-  // their lanes simply ride the same mask bits' word.
-  std::vector<vid_t> active(roots.begin(), roots.end());
+  // Cells the graph answers without a traversal: the root itself, and
+  // a target no edge enters. The rest stay open until the pass reaches
+  // them or the lane's frontier empties (-1).
+  std::array<int, kMsBfsMaxLanes> pending{};
+  std::vector<std::size_t> open;
+  for (std::size_t j = 0; j < request.cells.size(); ++j) {
+    const MsCell& c = request.cells[j];
+    if (c.target == request.lanes[static_cast<std::size_t>(c.lane)].root) {
+      out.cells[j] = 0;
+      continue;
+    }
+    bool entered = false;
+    g.for_each_in_neighbor(c.target, [&entered](vid_t) {
+      entered = true;
+      return false;
+    });
+    if (!entered) continue;
+    open.push_back(j);
+    ++pending[static_cast<std::size_t>(c.lane)];
+  }
+
+  std::vector<vid_t> active;
+  for (int l = 0; l < lanes; ++l) {
+    const auto li = static_cast<std::size_t>(l);
+    const std::uint64_t bit = std::uint64_t{1} << l;
+    if (s.level[li] != nullptr) s.maps |= bit;
+    if (s.level[li] == nullptr && pending[li] == 0) continue;
+    s.live |= bit;
+    const auto ri = static_cast<std::size_t>(request.lanes[li].root);
+    s.seen[ri] |= bit;
+    s.visit[ri] |= bit;
+    active.push_back(request.lanes[li].root);
+  }
+  // Duplicate roots share one active entry — their lanes simply ride
+  // the same mask word.
   std::sort(active.begin(), active.end());
   active.erase(std::unique(active.begin(), active.end()), active.end());
 
-  // Bottom-up candidate list: vertices some lane has not seen yet.
+  // Bottom-up candidate list: vertices some live lane has not seen yet.
   // Primed lazily on the first bottom-up level, then compacted like the
   // single-source kernel's zero-rescan list.
   std::vector<vid_t> candidates;
   bool candidates_primed = false;
 
-  std::array<vid_t, kMsBfsMaxLanes> lane_vcq{};
-  std::array<eid_t, kMsBfsMaxLanes> lane_ecq{};
   bool have_prev_dir = false;
   Direction prev_dir = Direction::kTopDown;
+  auto level_start = Clock::now();
 
-  while (!active.empty()) {
-    // Per-lane |V|cq / |E|cq and the union |E|cq, all read off the
-    // frontier masks before the step runs — the same quantities a
-    // single-source LevelTrace records per root.
-    lane_vcq.fill(0);
-    lane_ecq.fill(0);
-    eid_t union_ecq = 0;
-    for (const vid_t v : active) {
-      const eid_t deg = g.out_degree(v);
-      union_ecq += deg;
-      std::uint64_t bits = s.visit[static_cast<std::size_t>(v)];
-      while (bits != 0) {
-        const int l = std::countr_zero(bits);
-        bits &= bits - 1;
-        lane_vcq[static_cast<std::size_t>(l)] += 1;
-        lane_ecq[static_cast<std::size_t>(l)] += deg;
-      }
+  for (;;) {
+    // The union |V|cq / |E|cq over the live lanes, and which lanes
+    // still have a frontier: a lane whose frontier emptied is done.
+    vid_t frontier = 0;
+    eid_t frontier_edges = 0;
+    std::uint64_t carried = 0;
+    const auto count = static_cast<std::int64_t>(active.size());
+#pragma omp parallel for schedule(static) \
+    reduction(+ : frontier, frontier_edges) reduction(| : carried)
+    for (std::int64_t i = 0; i < count; ++i) {
+      const vid_t v = active[static_cast<std::size_t>(i)];
+      const std::uint64_t bits = s.visit[static_cast<std::size_t>(v)] & s.live;
+      if (bits == 0) continue;
+      frontier += 1;
+      frontier_edges += g.out_degree(v);
+      carried |= bits;
     }
-    for (int l = 0; l < lanes; ++l) {
-      if (lane_vcq[static_cast<std::size_t>(l)] == 0) continue;
-      out.lane_levels[static_cast<std::size_t>(l)].push_back(
-          {out.depth, lane_vcq[static_cast<std::size_t>(l)],
-           lane_ecq[static_cast<std::size_t>(l)], 0});
-    }
+    s.live &= carried;
+    if (s.live == 0) break;
 
     Direction dir = Direction::kTopDown;
     switch (opts.mode) {
@@ -303,9 +404,9 @@ template <graph::HybridView V>
       case MsBfsOptions::Mode::kAuto:
         // The paper's M/N rule on the union frontier: it is the union,
         // not any single lane, that the batched step will expand.
-        if (!(static_cast<double>(union_ecq) <
+        if (!(static_cast<double>(frontier_edges) <
                   static_cast<double>(g.num_edges()) / opts.m &&
-              static_cast<double>(active.size()) <
+              static_cast<double>(frontier) <
                   static_cast<double>(n) / opts.n)) {
           dir = Direction::kBottomUp;
         }
@@ -320,57 +421,103 @@ template <graph::HybridView V>
       detail::ms_top_down_step(g, active, s, next_level);
     } else {
       if (!candidates_primed) {
-        candidates.clear();
         for (vid_t v = 0; v < n; ++v) {
-          if (s.seen[static_cast<std::size_t>(v)] != s.full) {
+          if ((s.seen[static_cast<std::size_t>(v)] & s.live) != s.live) {
             candidates.push_back(v);
           }
         }
         candidates_primed = true;
       }
       detail::ms_bottom_up_step(g, candidates, s, next_level);
+    }
+
+    // Answer open cells from the lane bits this step set; a cells-only
+    // lane whose last target is answered retires.
+    std::erase_if(open, [&](std::size_t j) {
+      const MsCell& c = request.cells[j];
+      if (((s.visit_next[static_cast<std::size_t>(c.target)] >> c.lane) &
+           1) == 0) {
+        return false;
+      }
+      out.cells[j] = next_level;
+      if (--pending[static_cast<std::size_t>(c.lane)] == 0) {
+        s.live &= s.maps | ~(std::uint64_t{1} << c.lane);
+      }
+      return true;
+    });
+    if (dir == Direction::kBottomUp) {
       std::erase_if(candidates, [&s](vid_t v) {
-        return s.seen[static_cast<std::size_t>(v)] == s.full;
+        return (s.seen[static_cast<std::size_t>(v)] & s.live) == s.live;
       });
     }
 
-    out.levels.push_back({out.depth, dir,
-                          static_cast<vid_t>(active.size()), union_ecq, 0});
-
+    // The finished frontier's words are non-zero exactly at `active`,
+    // so clearing them there re-arms `visit_next` without a full fill.
     s.visit.swap(s.visit_next);
-    std::fill(s.visit_next.begin(), s.visit_next.end(), 0);
-    active.clear();
-    for (vid_t v = 0; v < n; ++v) {
-      if (s.visit[static_cast<std::size_t>(v)] != 0) active.push_back(v);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t i = 0; i < count; ++i) {
+      const vid_t v = active[static_cast<std::size_t>(i)];
+      s.visit_next[static_cast<std::size_t>(v)] = 0;
     }
-    out.levels.back().next_vertices = static_cast<vid_t>(active.size());
+    bitmap_to_queue(s.discovered, active);
+    s.discovered.reset();
+
+    const auto level_end = Clock::now();
+    out.levels.push_back(
+        {out.depth, dir, frontier, frontier_edges,
+         static_cast<vid_t>(active.size()),
+         std::chrono::duration<double>(level_end - level_start).count()});
+    level_start = level_end;
     ++out.depth;
   }
 
-  // A lane's level log is gapless (its frontier never revives), so each
-  // entry's discovery count is simply the next entry's frontier size.
-  for (auto& log : out.lane_levels) {
-    for (std::size_t i = 0; i + 1 < log.size(); ++i) {
-      log[i].next_vertices = log[i + 1].frontier_vertices;
-    }
-  }
-
-  // det: per-lane finalisation writes only lane l's own result slot.
-#pragma omp parallel for schedule(static)
+  // Tree lanes' totals and level logs, counted from their level maps.
+  // Levels are gapless (a lane's frontier never revives), so each
+  // entry's discovery count is the next entry's frontier size.
+#pragma omp parallel for schedule(dynamic, 1)
   for (int l = 0; l < lanes; ++l) {
-    auto& r = out.per_root[static_cast<std::size_t>(l)];
+    const auto li = static_cast<std::size_t>(l);
+    if (request.lanes[li].record != Record::kTree) continue;
+    BfsResult& r = out.per_root[li];
+    std::vector<MsLaneLevel>& log = out.lane_levels[li];
     vid_t reached = 0;
     eid_t directed = 0;
     for (vid_t v = 0; v < n; ++v) {
-      if (r.parent[static_cast<std::size_t>(v)] != kNoVertex) {
-        ++reached;
-        directed += g.out_degree(v);
+      const std::int32_t lv = r.level[static_cast<std::size_t>(v)];
+      if (lv < 0) continue;
+      const auto k = static_cast<std::size_t>(lv);
+      if (k >= log.size()) log.resize(k + 1);
+      const eid_t deg = g.out_degree(v);
+      log[k].frontier_vertices += 1;
+      log[k].frontier_edges += deg;
+      ++reached;
+      directed += deg;
+    }
+    for (std::size_t k = 0; k < log.size(); ++k) {
+      log[k].level = static_cast<std::int32_t>(k);
+      if (k + 1 < log.size()) {
+        log[k].next_vertices = log[k + 1].frontier_vertices;
       }
     }
     r.reached = reached;
     r.edges_in_component = g.is_symmetric() ? directed / 2 : directed;
   }
   return out;
+}
+
+/// Every lane records a full tree: the pass the Graph 500 batch engine
+/// and the benches run.
+template <graph::HybridView V>
+[[nodiscard]] MsBfsResult ms_bfs(const V& g,
+                                 std::span<const graph::vid_t> roots,
+                                 const MsBfsOptions& opts = {}) {
+  MsBfsRequest request;
+  request.lanes.reserve(roots.size());
+  for (const graph::vid_t r : roots) {
+    request.lanes.push_back(
+        {.root = r, .record = MsLane::Record::kTree, .row = {}});
+  }
+  return ms_bfs(g, request, opts);
 }
 
 /// CSR entry point: forwards through the zero-overhead CsrGraphView

@@ -104,9 +104,8 @@ BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,
 
     if (sink != nullptr) {
       // One trace run per batch: level events carry the union-frontier
-      // counters the direction decision actually saw, with the batch
-      // wall time spread evenly (per-level wall is not observable
-      // without timing inside the kernel).
+      // counters the direction decision actually saw and the level's
+      // wall time as the kernel measured it.
       for (const bfs::MsUnionLevel& lvl : ms.levels) {
         obs::LevelEvent event;
         event.device = "host";
@@ -115,9 +114,7 @@ BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,
         event.frontier_vertices = lvl.frontier_vertices;
         event.frontier_edges = lvl.frontier_edges;
         event.next_vertices = lvl.next_vertices;
-        event.compute_seconds =
-            ms.levels.empty() ? 0.0
-                              : wall / static_cast<double>(ms.levels.size());
+        event.compute_seconds = lvl.seconds;
         sink->on_level(event);
       }
       // Totals for the batch run: the union traversal's footprint.

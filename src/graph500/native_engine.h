@@ -63,8 +63,9 @@ struct NativeOptions {
 /// switch. Per-root seconds are the batch wall time divided evenly
 /// across the batch. With a sink attached, each batch is traced as one
 /// run of engine "msbfs" (root = first of the batch) whose level events
-/// carry the union-frontier counters; per-lane counters stay available
-/// to embedders via bfs::ms_bfs directly.
+/// carry the union-frontier counters and each level's wall time as the
+/// kernel measured it; per-lane counters stay available to embedders
+/// via bfs::ms_bfs directly.
 [[nodiscard]] BatchBfsEngine make_msbfs_batch_engine(
     core::HybridPolicy policy, obs::TraceSink* sink = nullptr);
 

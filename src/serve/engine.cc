@@ -23,23 +23,20 @@ QueryResult skeleton(const Query& q) {
   return r;
 }
 
-/// Fills the answer fields of `r` from a finished traversal of its
-/// source. kBfs keeps the whole map; the point queries read one cell.
-void fill_answer(QueryResult& r,
-                 const std::shared_ptr<const bfs::BfsResult>& traversal) {
+/// Answers a kBfs query with its source's whole traversal.
+void answer_tree(QueryResult& r,
+                 std::shared_ptr<const bfs::BfsResult> traversal) {
   r.ok = true;
-  switch (r.kind) {
-    case QueryKind::kBfs:
-      r.traversal = traversal;
-      r.reachable = true;
-      r.distance = 0;
-      break;
-    case QueryKind::kDistance:
-    case QueryKind::kReachability:
-      r.distance = traversal->level[static_cast<std::size_t>(r.target)];
-      r.reachable = r.distance >= 0;
-      break;
-  }
+  r.traversal = std::move(traversal);
+  r.reachable = true;
+  r.distance = 0;
+}
+
+/// Answers a distance or reachability query with its target's level.
+void answer_cell(QueryResult& r, std::int32_t distance) {
+  r.ok = true;
+  r.distance = distance;
+  r.reachable = distance >= 0;
 }
 
 /// Single-source dispatch for epochs without a flat CSR. The override
@@ -380,8 +377,12 @@ void QueryEngine::serve_single(Pending pending, const GraphEpochs::Pin& pin) {
                                  pending.query.source, opts_.policy, &pool_);
     QueryResult r = skeleton(pending.query);
     r.epoch = pin.epoch();
-    fill_answer(r, std::make_shared<const bfs::BfsResult>(
-                       std::move(timed.result)));
+    if (r.kind == QueryKind::kBfs) {
+      answer_tree(r, std::make_shared<const bfs::BfsResult>(
+                         std::move(timed.result)));
+    } else {
+      answer_cell(r, timed.result.level[static_cast<std::size_t>(r.target)]);
+    }
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.served;
@@ -395,13 +396,25 @@ void QueryEngine::serve_single(Pending pending, const GraphEpochs::Pin& pin) {
 
 void QueryEngine::serve_msbfs(std::vector<Pending> batch,
                               const GraphEpochs::Pin& pin) {
-  // Duplicate sources share one traversal lane; the MS-BFS pass runs
-  // over the distinct sources only.
-  std::unordered_map<graph::vid_t, std::size_t> lane_of;
-  std::vector<graph::vid_t> roots;
+  // One lane per distinct source. A lane records a tree only when a
+  // kBfs query reads it; every distance or reachability query asks for
+  // one (lane, target) cell, in batch order, and a lane left with cells
+  // only retires from the pass once they are answered.
+  std::unordered_map<graph::vid_t, int> lane_of;
+  bfs::MsBfsRequest request;
   for (const Pending& p : batch) {
-    if (lane_of.emplace(p.query.source, roots.size()).second) {
-      roots.push_back(p.query.source);
+    const auto [it, fresh] = lane_of.emplace(
+        p.query.source, static_cast<int>(request.lanes.size()));
+    if (fresh) {
+      request.lanes.push_back({.root = p.query.source,
+                               .record = bfs::MsLane::Record::kCells,
+                               .row = {}});
+    }
+    if (p.query.kind == QueryKind::kBfs) {
+      request.lanes[static_cast<std::size_t>(it->second)].record =
+          bfs::MsLane::Record::kTree;
+    } else {
+      request.cells.push_back({it->second, p.query.target});
     }
   }
 
@@ -410,7 +423,7 @@ void QueryEngine::serve_msbfs(std::vector<Pending> batch,
   e.detail = "msbfs";
   e.epoch = pin.epoch();
   e.batch_size = static_cast<std::int32_t>(batch.size());
-  e.lanes = static_cast<std::int32_t>(roots.size());
+  e.lanes = static_cast<std::int32_t>(request.lanes.size());
   emit(e);
 
   bfs::MsBfsOptions mopts;
@@ -419,7 +432,7 @@ void QueryEngine::serve_msbfs(std::vector<Pending> batch,
   bfs::MsBfsResult pass;
   try {
     pass = pin.graph().visit(
-        [&](const auto& g) { return bfs::ms_bfs(g, roots, mopts); });
+        [&](const auto& g) { return bfs::ms_bfs(g, request, mopts); });
   } catch (...) {
     for (Pending& p : batch) {
       p.promise.set_exception(std::current_exception());
@@ -427,22 +440,29 @@ void QueryEngine::serve_msbfs(std::vector<Pending> batch,
     return;
   }
 
-  std::vector<std::shared_ptr<const bfs::BfsResult>> lane_result;
-  lane_result.reserve(roots.size());
-  for (bfs::BfsResult& r : pass.per_root) {
-    lane_result.push_back(
-        std::make_shared<const bfs::BfsResult>(std::move(r)));
+  std::vector<std::shared_ptr<const bfs::BfsResult>> trees(
+      request.lanes.size());
+  for (std::size_t l = 0; l < trees.size(); ++l) {
+    if (request.lanes[l].record == bfs::MsLane::Record::kTree) {
+      trees[l] = std::make_shared<const bfs::BfsResult>(
+          std::move(pass.per_root[l]));
+    }
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stats_.served += static_cast<std::int64_t>(batch.size());
     stats_.batched_queries += static_cast<std::int64_t>(batch.size());
   }
+  std::size_t next_cell = 0;
   for (Pending& p : batch) {
     QueryResult r = skeleton(p.query);
     r.epoch = pin.epoch();
-    r.batch_lanes = static_cast<std::int32_t>(roots.size());
-    fill_answer(r, lane_result[lane_of.at(p.query.source)]);
+    r.batch_lanes = static_cast<std::int32_t>(request.lanes.size());
+    if (r.kind == QueryKind::kBfs) {
+      answer_tree(r, trees[static_cast<std::size_t>(lane_of.at(r.source))]);
+    } else {
+      answer_cell(r, pass.cells[next_cell++]);
+    }
     finish(std::move(p), std::move(r));
   }
 }

@@ -34,6 +34,8 @@
 #include <deque>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -75,8 +77,10 @@ class LandmarkCache {
 
   /// Builds the cache from an explicit landmark list (callers own the
   /// selection policy — the repair fuzz tests use this to recompute
-  /// with the exact landmark set a repaired cache kept). Out-of-range
-  /// or duplicate landmarks are rejected via BFSX MS-BFS root checks.
+  /// with the exact landmark set a repaired cache kept). Throws
+  /// std::invalid_argument on a duplicate landmark; the MS-BFS root
+  /// checks reject out-of-range ones. Each landmark's lane writes its
+  /// level row straight into `dist_`.
   template <graph::HybridView V>
   [[nodiscard]] static LandmarkCache build_with(
       const V& g, std::uint64_t epoch, std::vector<graph::vid_t> landmarks) {
@@ -88,15 +92,26 @@ class LandmarkCache {
     c.lane_of_.assign(static_cast<std::size_t>(c.num_vertices_), -1);
     if (c.landmarks_.empty()) return c;
 
-    const bfs::MsBfsResult pass = bfs::ms_bfs(g, c.landmarks_);
+    std::vector<graph::vid_t> sorted = c.landmarks_;
+    std::sort(sorted.begin(), sorted.end());
+    if (const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+        dup != sorted.end()) {
+      throw std::invalid_argument("LandmarkCache: landmark " +
+                                  std::to_string(*dup) +
+                                  " listed more than once");
+    }
     const auto n = static_cast<std::size_t>(c.num_vertices_);
     c.dist_.resize(c.landmarks_.size() * n);
+    bfs::MsBfsRequest rows;
+    for (std::size_t lane = 0; lane < c.landmarks_.size(); ++lane) {
+      rows.lanes.push_back({.root = c.landmarks_[lane],
+                            .record = bfs::MsLane::Record::kRow,
+                            .row = std::span(c.dist_).subspan(lane * n, n)});
+    }
+    (void)bfs::ms_bfs(g, rows);
     for (std::size_t lane = 0; lane < c.landmarks_.size(); ++lane) {
       c.lane_of_[static_cast<std::size_t>(c.landmarks_[lane])] =
           static_cast<std::int32_t>(lane);
-      const std::vector<std::int32_t>& level = pass.per_root[lane].level;
-      std::copy(level.begin(), level.end(),
-                c.dist_.begin() + static_cast<std::ptrdiff_t>(lane * n));
     }
     return c;
   }

@@ -76,10 +76,9 @@ struct TraceGenOptions {
 [[nodiscard]] std::vector<TraceOp> generate_query_trace(
     const graph::CsrGraph& g, const TraceGenOptions& opts);
 
-/// One served answer recorded by a lockstep replay, in query
-/// submission order. The bfs_checksum folds a kBfs traversal's level
-/// map so two replays can be compared cell-for-cell without keeping
-/// every map alive.
+/// One answer recorded by a replay, in query submission order. The
+/// bfs_checksum folds a kBfs traversal's level map so two replays can
+/// be compared cell-for-cell without keeping every map alive.
 struct ReplayAnswer {
   bool ok = false;
   QueryKind kind = QueryKind::kDistance;
@@ -99,8 +98,7 @@ struct ReplaySummary {
   std::int64_t publishes = 0;
   /// Per-served-query submit-to-answer latency, submission order.
   std::vector<double> latencies;
-  /// Lockstep replays only (empty for the open-loop client): every
-  /// query's recorded answer, submission order.
+  /// Every query's recorded answer, submission order.
   std::vector<ReplayAnswer> answers;
   double wall_seconds = 0.0;
   /// Wall-clock spent inside publish_inserts() calls — the write
@@ -108,6 +106,11 @@ struct ReplaySummary {
   /// number the churn bench curves.
   double publish_wall_seconds = 0.0;
 };
+
+/// FNV-1a digest of every field of `answers`, in order: equal digests
+/// mean two replays answered every query identically.
+[[nodiscard]] std::uint64_t answer_digest(
+    const std::vector<ReplayAnswer>& answers);
 
 /// Replays `ops` against a live engine: queries are submitted as fast
 /// as the admission queue accepts (an open-loop client), insert /

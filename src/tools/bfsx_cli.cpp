@@ -680,6 +680,10 @@ int cmd_serve(const Args& args) {
               sum.wall_seconds);
   std::printf("latency ms: p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
               lat.p50 * 1e3, lat.p95 * 1e3, lat.p99 * 1e3, lat.max * 1e3);
+  std::printf(
+      "answer digest: %016llx over %zu answers\n",
+      static_cast<unsigned long long>(serve::answer_digest(sum.answers)),
+      sum.answers.size());
   if (args.get_bool("metrics", false)) {
     std::printf("%s", metrics.format().c_str());
   }

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -207,6 +208,20 @@ TEST(LandmarkRepair, EmptyCacheRepairsToEmptyCache) {
   EXPECT_TRUE(repaired.landmarks().empty());
   EXPECT_EQ(rs.lanes, 0u);
   EXPECT_FALSE(repaired.distance(0, 7).has_value());
+}
+
+TEST(LandmarkRepair, BuildWithRejectsBadLandmarkLists) {
+  // A duplicate would take a second MS-BFS lane and leave the vertex's
+  // lane pointing at the last copy; an out-of-range id has no row.
+  const CsrGraph g = graph::build_csr(graph::make_path(8));
+  EXPECT_THROW((void)LandmarkCache::build_with(CsrGraphView(g), 0, {2, 5, 2}),
+               std::invalid_argument);
+  EXPECT_THROW((void)LandmarkCache::build_with(CsrGraphView(g), 0, {2, 8}),
+               std::invalid_argument);
+  const LandmarkCache ok =
+      LandmarkCache::build_with(CsrGraphView(g), 0, {5, 2});
+  EXPECT_EQ(ok.distance(2, 7), 5);
+  EXPECT_EQ(ok.distance(5, 0), 5);
 }
 
 }  // namespace

@@ -122,6 +122,58 @@ TEST(ServeEngine, DuplicateSourcesShareOneTraversal) {
   EXPECT_EQ(ra.traversal, rb.traversal);  // literally the same map
 }
 
+// One tick whose pass records a tree, target cells, and lanes that
+// retire early, side by side: a source read by all three kinds,
+// isolated and self targets, and isolated sources.
+TEST(ServeEngine, MixedKindsOnSharedAndIsolatedVerticesMatchReference) {
+  graph::EdgeList edges = rmat_edges(9, 5);
+  const graph::CsrGraph g = oracle_graph(edges);
+  std::vector<graph::vid_t> isolated;
+  for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (g.out_degree(v) == 0) isolated.push_back(v);
+  }
+  ASSERT_GE(isolated.size(), 2u);
+  const graph::vid_t shared = graph::sample_roots(g, 1, 31).front();
+  const std::vector<graph::vid_t> targets = graph::sample_roots(g, 4, 37);
+
+  ServeOptions opts;
+  opts.workers = 1;
+  opts.cache_enabled = false;
+  opts.start_paused = true;  // everything below lands in one tick
+  QueryEngine engine(std::move(edges), opts);
+
+  std::vector<std::future<QueryResult>> futures;
+  const auto submit = [&](QueryKind kind, graph::vid_t source,
+                          graph::vid_t target) {
+    Query q;
+    q.kind = kind;
+    q.source = source;
+    q.target = target;
+    futures.push_back(engine.submit(q));
+  };
+  submit(QueryKind::kBfs, shared, 0);
+  for (const graph::vid_t t : targets) {
+    submit(QueryKind::kDistance, shared, t);
+    submit(QueryKind::kReachability, shared, t);
+  }
+  submit(QueryKind::kDistance, shared, shared);
+  submit(QueryKind::kReachability, shared, isolated[0]);
+  submit(QueryKind::kBfs, isolated[0], 0);
+  submit(QueryKind::kDistance, isolated[0], isolated[0]);
+  submit(QueryKind::kDistance, isolated[0], shared);
+  submit(QueryKind::kReachability, isolated[1], targets[0]);
+  submit(QueryKind::kDistance, targets[1], isolated[1]);
+  engine.resume();
+
+  for (std::future<QueryResult>& f : futures) {
+    const QueryResult r = f.get();
+    expect_matches_reference(g, r);
+    EXPECT_EQ(r.batch_lanes, 4);  // shared, isolated[0..1], targets[1]
+  }
+  EXPECT_EQ(engine.stats().max_batch,
+            static_cast<std::int64_t>(futures.size()));
+}
+
 TEST(ServeEngine, CachedDistancesAreExact) {
   graph::EdgeList edges = rmat_edges(9, 21);
   const graph::CsrGraph g = oracle_graph(edges);

@@ -151,8 +151,36 @@ TEST(ServeTrace, ReplayAccountsForEveryOp) {
   EXPECT_EQ(sum.inserts, 4);
   EXPECT_EQ(sum.publishes, 2);
   EXPECT_EQ(static_cast<std::int64_t>(sum.latencies.size()), sum.served);
+  EXPECT_EQ(sum.answers.size(), 120u);
   EXPECT_GT(sum.wall_seconds, 0.0);
   EXPECT_EQ(engine.current_epoch(), 2u);
+}
+
+// An open-loop replay coalesces queries into MS-BFS passes; a lockstep
+// replay serves each alone through the single-source engine. Over a
+// read-only trace both must answer every query identically.
+TEST(ServeTrace, OpenLoopAndLockstepReplaysDigestEqual) {
+  graph::RmatParams p;
+  p.scale = 10;
+  graph::EdgeList edges = graph::generate_rmat(p);
+  const graph::CsrGraph g = graph::build_csr(edges);
+  TraceGenOptions gen;
+  gen.num_queries = 300;
+  const std::vector<TraceOp> ops = generate_query_trace(g, gen);
+
+  ServeOptions sopt;
+  sopt.workers = 2;
+  sopt.queue_capacity = ops.size();
+  QueryEngine open_engine(graph::EdgeList(edges), sopt);
+  QueryEngine lockstep_engine(std::move(edges), sopt);
+  const ReplaySummary open = replay_trace(open_engine, ops);
+  const ReplaySummary lockstep = replay_trace_lockstep(lockstep_engine, ops);
+  ASSERT_EQ(open.answers.size(), 300u);
+  EXPECT_EQ(answer_digest(open.answers), answer_digest(lockstep.answers));
+
+  std::vector<ReplayAnswer> changed = lockstep.answers;
+  changed.back().distance += 1;
+  EXPECT_NE(answer_digest(changed), answer_digest(lockstep.answers));
 }
 
 }  // namespace
