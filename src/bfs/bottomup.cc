@@ -1,87 +1,6 @@
 #include "bfs/bottomup.h"
 
-#include <algorithm>
-#include <cstddef>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace bfsx::bfs {
-namespace detail {
-
-void prime_unvisited(vid_t num_vertices, BfsState& state) {
-  const auto n = static_cast<std::size_t>(num_vertices);
-#ifdef _OPENMP
-  // Chunking by thread id assumes the team has exactly `workers`
-  // threads; a nested region runs with 1, so fall back to serial there
-  // (see graph/builder.cc's worker_count for the full story).
-  const int workers = n >= (std::size_t{1} << 15) && !omp_in_parallel()
-                          ? std::max(1, omp_get_max_threads())
-                          : 1;
-#else
-  const int workers = 1;
-#endif
-  auto& list = state.unvisited;
-  list.clear();
-  if (workers == 1) {
-    // Exactly the vertices not yet visited will be appended, and
-    // `reached` equals the visited population (a checked invariant), so
-    // this reserve is exact — reserving n would permanently pin ~4|V|
-    // bytes of never-used tail on late-switch traversals
-    // (test_mem_tuning pins the shrink).
-    list.reserve(n - static_cast<std::size_t>(state.reached));
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!state.visited.test(v)) list.push_back(static_cast<vid_t>(v));
-    }
-  } else {
-    std::vector<std::vector<vid_t>> local(static_cast<std::size_t>(workers));
-    std::vector<std::size_t> start(static_cast<std::size_t>(workers) + 1, 0);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-    {
-#ifdef _OPENMP
-      const int t = omp_get_thread_num();
-#else
-      const int t = 0;
-#endif
-      auto& mine = local[static_cast<std::size_t>(t)];
-      const std::size_t lo =
-          n * static_cast<std::size_t>(t) / static_cast<std::size_t>(workers);
-      const std::size_t hi = n * (static_cast<std::size_t>(t) + 1) /
-                             static_cast<std::size_t>(workers);
-      mine.reserve(hi - lo);
-      for (std::size_t v = lo; v < hi; ++v) {
-        if (!state.visited.test(v)) mine.push_back(static_cast<vid_t>(v));
-      }
-    }
-    for (int t = 0; t < workers; ++t) {
-      start[static_cast<std::size_t>(t) + 1] =
-          start[static_cast<std::size_t>(t)] +
-          local[static_cast<std::size_t>(t)].size();
-    }
-    list.resize(start[static_cast<std::size_t>(workers)]);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-    {
-#ifdef _OPENMP
-      const int t = omp_get_thread_num();
-#else
-      const int t = 0;
-#endif
-      const auto& mine = local[static_cast<std::size_t>(t)];
-      std::copy(mine.begin(), mine.end(),
-                list.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        start[static_cast<std::size_t>(t)]));
-    }
-  }
-  state.unvisited_primed = true;
-}
-
-}  // namespace detail
 
 BottomUpStats bottom_up_step(const CsrGraph& g, BfsState& state) {
   return bottom_up_step(graph::CsrGraphView(g), state);

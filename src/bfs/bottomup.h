@@ -10,12 +10,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bfs/frontier.h"
 #include "bfs/hub_cache.h"
@@ -58,36 +57,34 @@ struct BottomUpStats {
   }
 };
 
-namespace detail {
-
-/// Fills state.unvisited with every not-yet-visited vertex in ascending
-/// order. Runs once, on the first bottom-up level of a traversal; after
-/// that the list is compacted incrementally and 0..n is never rescanned.
-/// Parallelised over contiguous vertex chunks whose local buffers are
-/// concatenated in chunk order, so the list is ascending for any thread
-/// count. Representation-independent: needs only the vertex count.
-void prime_unvisited(vid_t num_vertices, BfsState& state);
-
-}  // namespace detail
-
 /// Advances `state` by one level using the bottom-up direction: every
 /// unvisited vertex searches its in-neighbours for one that is in the
 /// current frontier and adopts it as parent (Algorithm 2 lines 7-12).
-/// Parallelised over vertices; no atomics are needed because each
-/// candidate vertex is written by exactly one owner thread.
+/// Parallelised over vertices; no atomics are needed for the maps
+/// because each candidate vertex is written by exactly one owner thread.
 ///
 /// Zero-rescan: instead of sweeping 0..n every level, the kernel
-/// iterates state.unvisited — primed with one full scan on the first
-/// bottom-up level, then compacted in place as vertices are discovered —
-/// and reuses state.bu_scratch for the next frontier, so steady-state
-/// levels neither rescan visited vertices nor allocate. With default
-/// tuning, all counters (|V|cq, unvisited, edges-scanned hit/miss,
-/// next) are bit-equal to the full-scan kernel's.
+/// iterates state.unvisited — primed on the first bottom-up level by a
+/// popcount-prefix decode of the clear visited bits, then compacted as
+/// vertices are discovered. The list is scanned in fixed blocks of
+/// kCompactBlock candidates; each block keeps its misses in order at
+/// its start and its discoveries in order at its end, so one prefix sum
+/// and one parallel scatter (gather_blocks) yield both the compacted
+/// list and the ascending next frontier queue — identical for every
+/// team size. The visited fold is a word-wise OR, the outgoing
+/// frontier's bitmap is cleared and recycled as the next scratch, and
+/// the discoveries' out-degrees are summed into state.frontier_edges,
+/// so no loop is serial in |V|, the candidate count or the frontier,
+/// and steady-state levels allocate nothing. With default tuning, all
+/// counters (|V|cq, unvisited, edges-scanned hit/miss, next) are
+/// bit-equal to the full-scan kernel's, and each parent is the first
+/// frontier in-neighbour in row order.
 ///
 /// `tuning` (bfs/mem_tuning.h):
 ///   * prefetch.distance d > 0 on a PrefetchableView prefetches the
-///     in-row of unvisited[i + d] while candidate i scans — advisory
-///     only, discovery set and counters unchanged.
+///     in-row of the candidate d slots ahead in the same block while
+///     this one scans — advisory only, discovery set and counters
+///     unchanged.
 ///   * hub_cache non-null consults the candidate's hub sub-row against
 ///     an L1-resident k-bit frontier snapshot before the full-width
 ///     scan. The *discovered* set per level (hence every distance) is
@@ -103,7 +100,11 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
 
   const std::int32_t next_level = state.current_level + 1;
-  if (!state.unvisited_primed) detail::prime_unvisited(g.num_vertices(), state);
+  if (!state.unvisited_primed) {
+    decode_bits(state.visited, /*complement=*/true, state.unvisited,
+                state.bu_spans);
+    state.unvisited_primed = true;
+  }
 
   const HubCache* hub = tuning.hub_cache;
   if (hub != nullptr) {
@@ -124,10 +125,10 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
       dist = static_cast<std::size_t>(tuning.prefetch.distance);
     }
   }
-  // Reused scratch; all-zero on entry (constructor + the dirty-word
-  // wipe at the end of every step maintain the invariant). A dirty
-  // scratch silently resurrects a previous frontier into this level's
-  // discoveries, so paranoid builds verify the wipe every step.
+  // Reused scratch; all-zero on entry (constructor + the clear at the
+  // end of every step maintain the invariant). A dirty scratch silently
+  // resurrects a previous frontier into this level's discoveries, so
+  // paranoid builds verify it every step.
   BFSX_PARANOID(BFSX_CHECK(state.bu_scratch.none())
                 << "bu_scratch dirty on bottom_up_step entry (first set bit "
                 << state.bu_scratch.find_first() << ")");
@@ -135,9 +136,12 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
                 static_cast<std::size_t>(g.num_vertices()));
   Bitmap& next = state.bu_scratch;
 
-  const auto& cand = state.unvisited;
-  const std::size_t ncand = cand.size();
+  vid_t* const cand = state.unvisited.data();
+  const std::size_t ncand = state.unvisited.size();
   stats.candidates = static_cast<vid_t>(ncand);
+  std::vector<BlockSpan>& spans = state.bu_spans;
+  spans.resize(compact_blocks(ncand));
+  const auto nblocks = static_cast<std::int64_t>(spans.size());
 
   vid_t unvisited = 0;
   eid_t scanned_hit = 0;
@@ -145,88 +149,104 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   vid_t found = 0;
   vid_t hub_probes = 0;
   vid_t hub_hits = 0;
+  eid_t next_edges = 0;
 
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1024) \
+#pragma omp parallel if (nblocks > 1) \
     reduction(+ : unvisited, scanned_hit, scanned_miss, found, hub_probes, \
-                  hub_hits)
+                  hub_hits, next_edges)
 #endif
-  for (std::size_t i = 0; i < ncand; ++i) {
-    const vid_t v = cand[i];
-    if constexpr (graph::PrefetchableView<V>) {
-      // Pull the in-row of the candidate `dist` slots ahead toward the
-      // cache while this one scans; advisory, never changes the scan.
-      if (dist > 0 && i + dist < ncand) g.prefetch_in_row(cand[i + dist]);
-    }
-    // Stragglers an interleaved top-down step visited since the list
-    // was last compacted; skipping them here keeps every counter equal
-    // to the full 0..n scan's.
-    if (state.visited.test(static_cast<std::size_t>(v))) continue;
-    ++unvisited;
-    if (hub != nullptr) {
-      // Probe the candidate's hub in-neighbours against the k-bit
-      // snapshot first: a hit resolves the whole scan from one or two
-      // L1 lines instead of a random walk over the |V|-bit frontier.
-      const std::span<const std::uint16_t> hrow = hub->hub_in_row(v);
-      if (!hrow.empty()) {
-        ++hub_probes;
-        eid_t hwalked = 0;
-        vid_t hparent = kNoVertex;
-        for (const std::uint16_t r : hrow) {
-          ++hwalked;
-          if (state.hub_bits.test(static_cast<std::size_t>(r))) {
-            hparent = hub->hub(r);
-            break;
+  {
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic, 1)
+#endif
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kCompactBlock;
+      const std::size_t hi = std::min(ncand, lo + kCompactBlock);
+      // The block's discoveries wait here until its scan is done: only
+      // then is its tail free to hold them.
+      std::array<vid_t, kCompactBlock> discovered;
+      std::size_t kept = lo;
+      std::size_t nfound = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const vid_t v = cand[i];
+        if constexpr (graph::PrefetchableView<V>) {
+          // Pull the in-row of the candidate `dist` slots ahead toward
+          // the cache while this one scans; advisory, never changes the
+          // scan. Stays inside the block, which no other thread writes.
+          if (dist > 0 && i + dist < hi) g.prefetch_in_row(cand[i + dist]);
+        }
+        // Stragglers an interleaved top-down step visited since the
+        // list was last compacted: dropped, and skipping them keeps
+        // every counter equal to the full 0..n scan's.
+        if (state.visited.test(static_cast<std::size_t>(v))) continue;
+        ++unvisited;
+        vid_t from = kNoVertex;
+        if (hub != nullptr) {
+          // Probe the candidate's hub in-neighbours against the k-bit
+          // snapshot first: a hit resolves the whole scan from one or
+          // two L1 lines instead of a random walk over the |V|-bit
+          // frontier.
+          const std::span<const std::uint16_t> hrow = hub->hub_in_row(v);
+          if (!hrow.empty()) {
+            ++hub_probes;
+            eid_t hwalked = 0;
+            for (const std::uint16_t r : hrow) {
+              ++hwalked;
+              if (state.hub_bits.test(static_cast<std::size_t>(r))) {
+                from = hub->hub(r);
+                break;
+              }
+            }
+            if (from != kNoVertex) {
+              ++hub_hits;
+              scanned_hit += hwalked;
+            }
           }
         }
-        if (hparent != kNoVertex) {
-          state.parent[static_cast<std::size_t>(v)] = hparent;
-          state.level[static_cast<std::size_t>(v)] = next_level;
-          next.set_atomic(static_cast<std::size_t>(v));
-          ++hub_hits;
-          ++found;
-          scanned_hit += hwalked;
+        if (from == kNoVertex) {
+          // Algorithm 2 lines 9-12: scan predecessors, adopt the first
+          // one found in the current frontier, then stop (the callback
+          // returns false).
+          eid_t walked = 0;
+          g.for_each_in_neighbor(v, [&state, &walked, &from](vid_t u) {
+            ++walked;
+            if (!state.frontier_bitmap.test(static_cast<std::size_t>(u))) {
+              return true;
+            }
+            from = u;
+            return false;
+          });
+          if (from != kNoVertex) {
+            scanned_hit += walked;
+          } else {
+            scanned_miss += walked;
+          }
+        }
+        if (from == kNoVertex) {
+          cand[kept++] = v;  // still unvisited: stays a candidate
           continue;
         }
+        state.parent[static_cast<std::size_t>(v)] = from;
+        state.level[static_cast<std::size_t>(v)] = next_level;
+        next.set_atomic(static_cast<std::size_t>(v));
+        next_edges += g.out_degree(v);
+        discovered[nfound++] = v;
       }
+      std::copy_n(discovered.data(), nfound, cand + (hi - nfound));
+      spans[static_cast<std::size_t>(b)] = {.front = kept - lo,
+                                            .back = nfound};
+      found += static_cast<vid_t>(nfound);
     }
-    // Algorithm 2 lines 9-12: scan predecessors, adopt the first one
-    // found in the current frontier, then stop (callback returns false).
-    eid_t walked = 0;
-    bool hit = false;
-    g.for_each_in_neighbor(
-        v, [&state, &next, &walked, &hit, v, next_level](vid_t u) {
-          ++walked;
-          if (state.frontier_bitmap.test(static_cast<std::size_t>(u))) {
-            state.parent[static_cast<std::size_t>(v)] = u;
-            state.level[static_cast<std::size_t>(v)] = next_level;
-            next.set_atomic(static_cast<std::size_t>(v));
-            hit = true;
-            return false;
-          }
-          return true;
-        });
-    if (hit) {
-      ++found;
-      scanned_hit += walked;
-    } else {
-      scanned_miss += walked;
-    }
+    gather_blocks(cand, ncand, spans, state.unvisited_spare,
+                  &state.frontier_queue);
   }
 
   // Fold the discoveries into the visited set. Deferring this to after
   // the scan keeps the level semantics exact: a vertex discovered this
   // level must not act as a parent within the same level.
-  next.for_each_set([&state](vid_t v) {
-    state.visited.set(static_cast<std::size_t>(v));
-  });
-
-  // Compact the candidate list in place: drop this level's discoveries
-  // and any stragglers. O(|list|), order-preserving, so the next level
-  // iterates exactly the still-unvisited vertices.
-  std::erase_if(state.unvisited, [&state](vid_t v) {
-    return state.visited.test(static_cast<std::size_t>(v));
-  });
+  state.visited |= next;
+  state.unvisited.swap(state.unvisited_spare);
 
   stats.unvisited_vertices = unvisited;
   stats.edges_scanned_hit = scanned_hit;
@@ -236,20 +256,18 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   stats.hub_hits = hub_hits;
   state.reached += found;
   state.current_level = next_level;
+  state.frontier_edges = next_edges;
+  // The outgoing frontier's bitmap, cleared, becomes the next level's
+  // scratch; the gather above already wrote the new frontier queue.
+  state.frontier_bitmap.reset();
   state.frontier_bitmap.swap(next);
-  // `next` (the scratch) now holds the *previous* frontier's bits; the
-  // outgoing queue still lists exactly those vertices, so zeroing their
-  // words restores the all-clear invariant in O(|frontier|) stores
-  // instead of an O(n/64) memset.
-  for (vid_t v : state.frontier_queue) {
-    next.clear_word(static_cast<std::size_t>(v));
-  }
-  bitmap_to_queue(state.frontier_bitmap, state.frontier_queue);
-  // The wipe above and the compaction must restore every inter-step
+  // The clear and the compaction must restore every inter-step
   // invariant (scratch all-clear, unvisited exact); state-level
-  // validation at each step makes a broken wipe fail here, at its
+  // validation at each step makes a broken one fail here, at its
   // source, instead of levels later.
   BFSX_PARANOID(state.assert_invariants(g.num_vertices()));
+  BFSX_PARANOID(BFSX_CHECK_EQ(state.frontier_edges,
+                              frontier_out_edges(g, state.frontier_queue)));
   return stats;
 }
 

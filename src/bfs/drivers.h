@@ -70,10 +70,7 @@ BfsResult run_bottom_up(const V& g, vid_t root, TraversalLog* log = nullptr) {
   BfsState state(g.num_vertices(), root);
   while (!state.frontier_empty()) {
     const std::int32_t lvl = state.current_level;
-    const eid_t cq_edges =
-        state.frontier_queue.empty()
-            ? 0
-            : frontier_out_edges(g, state.frontier_queue);
+    const eid_t cq_edges = state.frontier_out_edges(g);
     const vid_t cq_vertices = static_cast<vid_t>(state.frontier_queue.size());
     const BottomUpStats s = bottom_up_step(g, state);
     if (log != nullptr) {

@@ -1,7 +1,17 @@
-// Frontier bookkeeping helpers: queue<->bitmap conversion and the two
-// quantities the switching rule tests every level, |V|cq and |E|cq.
+// Frontier bookkeeping helpers: bitmap-to-queue decoding, the two
+// quantities the switching rule tests every level, |V|cq and |E|cq, and
+// the ordered parallel compaction the bottom-up and MS-BFS kernels use
+// to shrink their candidate lists.
+//
+// Every parallel helper here partitions its input into fixed-size
+// blocks, never into per-thread chunks, so its output is the serial
+// result for any team size — a nested 1-thread team included.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/bitmap.h"
@@ -10,10 +20,6 @@
 #include "graph/view.h"
 
 namespace bfsx::bfs {
-
-/// Rebuilds `bitmap` to contain exactly the vertices in `queue`.
-void queue_to_bitmap(const std::vector<graph::vid_t>& queue,
-                     graph::Bitmap& bitmap);
 
 /// Rebuilds `queue` (ascending order) from the set bits of `bitmap`.
 void bitmap_to_queue(const graph::Bitmap& bitmap,
@@ -33,6 +39,189 @@ template <graph::GraphView V>
   graph::eid_t total = 0;
   for (graph::vid_t v : queue) total += g.out_degree(v);
   return total;
+}
+
+// ---- ordered blocked compaction ------------------------------------
+
+/// Elements per block of the ordered compactions.
+inline constexpr std::size_t kCompactBlock = 1024;
+
+/// Inputs shorter than this compact on the calling thread: waking a
+/// team costs more than the pass.
+inline constexpr std::size_t kCompactParallelMin = 16 * kCompactBlock;
+
+[[nodiscard]] constexpr std::size_t compact_blocks(std::size_t count) {
+  return (count + kCompactBlock - 1) / kCompactBlock;
+}
+
+/// What one block of a blocked scan left behind, and (after
+/// gather_blocks) where its items go. Block b of a `count`-element
+/// staging buffer covers [b * kCompactBlock, min(count, (b + 1) *
+/// kCompactBlock)); the scan leaves `front` kept items at the block's
+/// start and `back` items of a second stream at its end, each in scan
+/// order, with front + back <= the block's length.
+struct BlockSpan {
+  std::size_t front = 0;
+  std::size_t back = 0;
+  std::size_t front_at = 0;  ///< output offset of the front items
+  std::size_t back_at = 0;   ///< output offset of the back items
+};
+
+/// Exclusive prefix sums of the spans' counts into their offsets;
+/// returns the {front, back} totals. O(blocks), serial.
+inline std::pair<std::size_t, std::size_t> prefix_spans(
+    std::vector<BlockSpan>& spans) {
+  std::size_t front = 0;
+  std::size_t back = 0;
+  for (BlockSpan& s : spans) {
+    s.front_at = front;
+    s.back_at = back;
+    front += s.front;
+    back += s.back;
+  }
+  return {front, back};
+}
+
+/// The gather half of an ordered blocked compaction. After a scan has
+/// filled `spans` (one per block of `staging[0, count)`), writes every
+/// block's front items to `front_out` and, when `back_out` is non-null,
+/// every block's back items to `*back_out`, both in block order — the
+/// concatenation a serial scan would produce — with one prefix sum and
+/// one parallel scatter. The outputs are resized to fit and must not
+/// alias `staging`.
+///
+/// An orphaned worksharing construct: call it from every thread of the
+/// parallel region that ran the scan (after the scan loop's barrier),
+/// or from outside any region to run serially.
+template <typename FrontOut, typename BackOut>
+void gather_blocks(const graph::vid_t* staging, std::size_t count,
+                   std::vector<BlockSpan>& spans, FrontOut& front_out,
+                   BackOut* back_out) {
+#ifdef _OPENMP
+#pragma omp single
+#endif
+  {
+    const auto [front, back] = prefix_spans(spans);
+    front_out.resize(front);
+    if (back_out != nullptr) back_out->resize(back);
+  }
+  const auto nblocks = static_cast<std::int64_t>(spans.size());
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+  for (std::int64_t b = 0; b < nblocks; ++b) {
+    const BlockSpan& s = spans[static_cast<std::size_t>(b)];
+    const std::size_t lo = static_cast<std::size_t>(b) * kCompactBlock;
+    const std::size_t hi = std::min(count, lo + kCompactBlock);
+    std::copy_n(staging + lo, s.front, front_out.data() + s.front_at);
+    if (back_out != nullptr) {
+      std::copy_n(staging + (hi - s.back), s.back,
+                  back_out->data() + s.back_at);
+    }
+  }
+}
+
+/// Ordered parallel filter: sets `out` to value(i) for every i in
+/// [0, count) whose value passes `keep`, in ascending i. Each block
+/// stages its survivors at the start of its own range of `staging` (a
+/// buffer of at least `count` elements), so `staging` may be the array
+/// `value` reads from — a block only overwrites slots it has already
+/// read — but not `out`. Serial below kCompactParallelMin.
+template <typename Out, typename Value, typename Keep>
+void filter_ordered(std::size_t count, graph::vid_t* staging,
+                    std::vector<BlockSpan>& spans, Out& out, Value&& value,
+                    Keep&& keep) {
+  const std::size_t nblocks = compact_blocks(count);
+  spans.resize(nblocks);
+  const auto nb = static_cast<std::int64_t>(nblocks);
+#ifdef _OPENMP
+#pragma omp parallel if (count >= kCompactParallelMin)
+#endif
+  {
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < nb; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kCompactBlock;
+      const std::size_t hi = std::min(count, lo + kCompactBlock);
+      std::size_t kept = lo;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const graph::vid_t x = value(i);
+        if (keep(x)) staging[kept++] = x;
+      }
+      spans[static_cast<std::size_t>(b)] = {.front = kept - lo, .back = 0};
+    }
+    gather_blocks(staging, count, spans, out,
+                  static_cast<Out*>(nullptr));
+  }
+}
+
+/// Words per block of the popcount-prefix decode, and the word count
+/// below which it runs serially.
+inline constexpr std::size_t kDecodeWords = 256;
+inline constexpr std::size_t kDecodeParallelWords = 4096;
+
+/// Writes the positions of the set bits of `bitmap` — or, with
+/// `complement`, of its clear bits below size() — to `out` in ascending
+/// order: per-block popcounts, one prefix sum, then every block decodes
+/// straight into its slice of `out`. `spans` is per-block scratch, kept
+/// by the caller so repeated calls allocate nothing.
+template <typename Out>
+void decode_bits(const graph::Bitmap& bitmap, bool complement, Out& out,
+                 std::vector<BlockSpan>& spans) {
+  const std::uint64_t* words = bitmap.words();
+  const std::size_t nwords = bitmap.word_count();
+  const std::size_t tail = bitmap.size() & 63;
+  // The complement of the last word must not report the padding bits
+  // past size() as clear vertices.
+  const std::uint64_t last_mask = complement && tail != 0
+                                      ? (std::uint64_t{1} << tail) - 1
+                                      : ~std::uint64_t{0};
+  const auto word_at = [words, nwords, complement,
+                        last_mask](std::size_t w) -> std::uint64_t {
+    const std::uint64_t x = complement ? ~words[w] : words[w];
+    return w + 1 == nwords ? x & last_mask : x;
+  };
+  spans.resize((nwords + kDecodeWords - 1) / kDecodeWords);
+  const auto nblocks = static_cast<std::int64_t>(spans.size());
+#ifdef _OPENMP
+#pragma omp parallel if (nwords >= kDecodeParallelWords)
+#endif
+  {
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kDecodeWords;
+      const std::size_t hi = std::min(nwords, lo + kDecodeWords);
+      std::size_t bits = 0;
+      for (std::size_t w = lo; w < hi; ++w) {
+        bits += static_cast<std::size_t>(__builtin_popcountll(word_at(w)));
+      }
+      spans[static_cast<std::size_t>(b)] = {.front = bits, .back = 0};
+    }
+#ifdef _OPENMP
+#pragma omp single
+#endif
+    out.resize(prefix_spans(spans).first);
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kDecodeWords;
+      const std::size_t hi = std::min(nwords, lo + kDecodeWords);
+      graph::vid_t* dst =
+          out.data() + spans[static_cast<std::size_t>(b)].front_at;
+      for (std::size_t w = lo; w < hi; ++w) {
+        std::uint64_t word = word_at(w);
+        while (word != 0) {
+          *dst++ = static_cast<graph::vid_t>(
+              (w << 6) + static_cast<std::size_t>(__builtin_ctzll(word)));
+          word &= word - 1;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace bfsx::bfs

@@ -215,7 +215,7 @@ void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
 /// order the chosen parents are fully deterministic.
 template <graph::TransposeView V>
 void ms_bottom_up_step(const V& g,
-                       const std::vector<graph::vid_t>& candidates,
+                       std::span<const graph::vid_t> candidates,
                        MsLaneState& s, std::int32_t next_level) {
   const auto count = static_cast<std::int64_t>(candidates.size());
 #pragma omp parallel for schedule(dynamic, 1024)
@@ -366,9 +366,15 @@ template <graph::HybridView V>
 
   // Bottom-up candidate list: vertices some live lane has not seen yet.
   // Primed lazily on the first bottom-up level, then compacted like the
-  // single-source kernel's zero-rescan list.
-  std::vector<vid_t> candidates;
+  // single-source kernel's zero-rescan list, by the same ordered
+  // parallel filter (bfs/frontier.h) staging through `spare`.
+  graph::numa::vector<vid_t> candidates;
+  graph::numa::vector<vid_t> spare;
+  std::vector<BlockSpan> spans;
   bool candidates_primed = false;
+  const auto unfinished = [&s](vid_t v) {
+    return (s.seen[static_cast<std::size_t>(v)] & s.live) != s.live;
+  };
 
   bool have_prev_dir = false;
   Direction prev_dir = Direction::kTopDown;
@@ -421,11 +427,10 @@ template <graph::HybridView V>
       detail::ms_top_down_step(g, active, s, next_level);
     } else {
       if (!candidates_primed) {
-        for (vid_t v = 0; v < n; ++v) {
-          if ((s.seen[static_cast<std::size_t>(v)] & s.live) != s.live) {
-            candidates.push_back(v);
-          }
-        }
+        spare.resize(nn);
+        filter_ordered(
+            nn, spare.data(), spans, candidates,
+            [](std::size_t v) { return static_cast<vid_t>(v); }, unfinished);
         candidates_primed = true;
       }
       detail::ms_bottom_up_step(g, candidates, s, next_level);
@@ -446,9 +451,11 @@ template <graph::HybridView V>
       return true;
     });
     if (dir == Direction::kBottomUp) {
-      std::erase_if(candidates, [&s](vid_t v) {
-        return (s.seen[static_cast<std::size_t>(v)] & s.live) == s.live;
-      });
+      const vid_t* from = candidates.data();
+      filter_ordered(
+          candidates.size(), candidates.data(), spans, spare,
+          [from](std::size_t i) { return from[i]; }, unfinished);
+      candidates.swap(spare);
     }
 
     // The finished frontier's words are non-zero exactly at `active`,

@@ -27,7 +27,9 @@ void BfsState::reset(vid_t num_vertices, vid_t root) {
   visited.resize_and_reset(n);
   frontier_queue.clear();
   frontier_bitmap.resize_and_reset(n);
+  frontier_edges = -1;
   unvisited.clear();
+  unvisited_spare.clear();
   unvisited_primed = false;
   bu_scratch.resize_and_reset(n);
   for (auto& part : td_local_next) part.clear();

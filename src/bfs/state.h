@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "bfs/frontier.h"
 #include "check/contract.h"
 #include "check/report.h"
 #include "graph/bitmap.h"
 #include "graph/csr.h"
+#include "graph/numa.h"
 #include "graph/types.h"
 
 namespace bfsx::bfs {
@@ -75,19 +77,32 @@ struct BfsState {
   std::vector<vid_t> frontier_queue;
   Bitmap frontier_bitmap;
 
+  /// |E|cq of the current frontier, carried by the level step that
+  /// produced it (each step sums the out-degrees of the vertices it
+  /// discovers), so the direction rule and traces never re-walk the
+  /// queue; -1 until a step has run. Read it through
+  /// frontier_out_edges(g).
+  eid_t frontier_edges = -1;
+
   /// Bottom-up candidate list: once primed (first bottom-up level) it
   /// holds, in ascending order, a superset of the unvisited vertices —
   /// exact right after a bottom-up step, possibly carrying stragglers
   /// that interleaved top-down steps visited since. bottom_up_step
-  /// iterates it instead of rescanning 0..n and compacts it in place
-  /// each level; stale entries are skipped via the visited test, so the
-  /// kernel counters are identical to a full scan's.
-  std::vector<vid_t> unvisited;
+  /// iterates it instead of rescanning 0..n and compacts it each level
+  /// into `unvisited_spare`, then swaps the two; stale entries are
+  /// skipped via the visited test, so the kernel counters are identical
+  /// to a full scan's. Default-initialising storage: every slot is
+  /// written by the decode or the compaction before it is read.
+  graph::numa::vector<vid_t> unvisited;
+  graph::numa::vector<vid_t> unvisited_spare;
   bool unvisited_primed = false;
+  /// Per-block tallies of the prime decode and the bottom-up
+  /// compaction (bfs/frontier.h), kept so no level allocates.
+  std::vector<BlockSpan> bu_spans;
 
   /// Scratch next-frontier bitmap reused by bottom_up_step so no level
-  /// allocates. Invariant: all-zero between steps (the kernel clears
-  /// only the words the previous frontier dirtied).
+  /// allocates. Invariant: all-zero between steps (after the swap the
+  /// kernel hands the outgoing frontier's bitmap back cleared).
   Bitmap bu_scratch;
 
   /// Top-down scratch: per-thread discovery buffers and the merged next
@@ -114,6 +129,14 @@ struct BfsState {
     return frontier_queue.empty();
   }
 
+  /// |E|cq of the current frontier: the value the last level step
+  /// carried, or — before any step — the degree sum of the queue.
+  template <typename G>
+  [[nodiscard]] eid_t frontier_out_edges(const G& g) const {
+    return frontier_edges >= 0 ? frontier_edges
+                               : bfs::frontier_out_edges(g, frontier_queue);
+  }
+
   /// Paranoid structural validator (BFSX_PARANOID tier; O(V)). Valid
   /// *between* level steps — kernels may transiently break these mid
   /// step. Appends numbered failures to `report`:
@@ -122,7 +145,7 @@ struct BfsState {
   ///   * `reached` equals the visited population count;
   ///   * frontier queue and bitmap hold the same vertex set, all at
   ///     current_level;
-  ///   * `bu_scratch` is all-clear (the zero-rescan wipe invariant);
+  ///   * `bu_scratch` is all-clear (the zero-rescan invariant);
   ///   * once primed, `unvisited` is strictly ascending and a superset
   ///     of the not-yet-visited vertices (stragglers visited by
   ///     interleaved top-down steps are legal leftovers).
@@ -148,12 +171,18 @@ struct BfsState {
     BfsResult r;
     r.reached = reached;
     // Count directed edges whose tail is reached; for a symmetric graph
-    // halving gives the undirected count Graph 500 uses for TEPS.
+    // halving gives the undirected count Graph 500 uses for TEPS. The
+    // reached flag multiplies rather than guards the degree, so the
+    // parallel sum streams both arrays without a data-dependent branch.
     eid_t directed = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (parent[static_cast<std::size_t>(v)] != kNoVertex) {
-        directed += g.out_degree(v);
-      }
+    const vid_t n = g.num_vertices();
+    const vid_t* reached_by = parent.data();
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) reduction(+ : directed)
+#endif
+    for (vid_t v = 0; v < n; ++v) {
+      directed += static_cast<eid_t>(reached_by[v] != kNoVertex) *
+                  g.out_degree(v);
     }
     r.edges_in_component = g.is_symmetric() ? directed / 2 : directed;
     r.parent = std::move(parent);

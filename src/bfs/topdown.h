@@ -14,6 +14,7 @@
 // queue-swap at the end of each step (test_mem_tuning pins this).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -40,8 +41,13 @@ struct TopDownStats {
 /// Advances `state` by one level using the top-down direction: each
 /// frontier vertex tries to claim its unvisited out-neighbours
 /// (Algorithm 1 lines 7-12). Parallelised over frontier vertices with
-/// OpenMP; discovered vertices are claimed with an atomic test-and-set
-/// so each vertex gets exactly one parent.
+/// OpenMP; a neighbour whose visited bit already reads set is skipped
+/// with a relaxed load, and the rest are claimed with an atomic
+/// test-and-set so each vertex gets exactly one parent. Claimed
+/// vertices set their next-frontier bit and add their out-degree to
+/// the carried |E|cq (state.frontier_edges) as they are found, and each
+/// thread copies its own discoveries into the merged queue, so no loop
+/// after the traversal is serial in the frontier.
 ///
 /// `tuning.prefetch` (bfs/mem_tuning.h): with distance d > 0 and a
 /// PrefetchableView, each iteration prefetches the adjacency row of
@@ -52,7 +58,8 @@ struct TopDownStats {
 /// never changes which vertices are discovered or in what order.
 ///
 /// On return the state's frontier (queue + bitmap), visited set, parent
-/// and level maps, current_level, and reached count are all updated.
+/// and level maps, carried |E|cq, current_level, and reached count are
+/// all updated.
 template <graph::GraphView V>
 TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
   TopDownStats stats;
@@ -62,8 +69,10 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
   const std::int32_t next_level = state.current_level + 1;
   // |E|cq is accumulated inside the traversal loop (one queue walk)
   // rather than by a frontier_out_edges pre-pass (two queue walks); the
-  // reduction makes it exact under any schedule.
+  // reduction makes it exact under any schedule. `next_edges` is the
+  // same sum over the vertices this level discovers.
   eid_t frontier_edges = 0;
+  eid_t next_edges = 0;
 
 #ifdef _OPENMP
   const int num_threads = omp_get_max_threads();
@@ -75,6 +84,11 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
     local_next.resize(static_cast<std::size_t>(num_threads));
   }
   for (auto& part : local_next) part.clear();  // capacity retained
+  auto& next = state.td_next;
+  next.clear();
+  // Top-down never reads the frontier bitmap; it is rebuilt below as
+  // the claims land.
+  state.frontier_bitmap.reset();
 
   std::size_t dist = 0;
   if constexpr (graph::PrefetchableView<V>) {
@@ -84,7 +98,7 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
   }
 
 #ifdef _OPENMP
-#pragma omp parallel reduction(+ : frontier_edges)
+#pragma omp parallel reduction(+ : frontier_edges, next_edges)
 #endif
   {
 #ifdef _OPENMP
@@ -98,19 +112,24 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
 #endif
     auto& mine = local_next[static_cast<std::size_t>(tid)];
 #ifdef _OPENMP
-#pragma omp for schedule(dynamic, 64) nowait
+#pragma omp for schedule(dynamic, 64)
 #endif
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const vid_t u = queue[i];
       frontier_edges += g.out_degree(u);
-      const auto visit = [&state, &mine, u, next_level](vid_t v) {
-        // Algorithm 1 line 9: visited check, fused with the claim so two
-        // frontier vertices cannot both adopt v.
-        if (state.visited.test_and_set_atomic(static_cast<std::size_t>(v))) {
-          state.parent[static_cast<std::size_t>(v)] = u;
-          state.level[static_cast<std::size_t>(v)] = next_level;
-          mine.push_back(v);
-        }
+      const auto visit = [&g, &state, &mine, &next_edges, u,
+                          next_level](vid_t v) {
+        const auto vi = static_cast<std::size_t>(v);
+        // Algorithm 1 line 9: visited check. The relaxed load filters
+        // out vertices already claimed; the claim itself is the atomic
+        // test-and-set, so two frontier vertices cannot both adopt v.
+        if (state.visited.test_relaxed(vi)) return;
+        if (!state.visited.test_and_set_atomic(vi)) return;
+        state.parent[vi] = u;
+        state.level[vi] = next_level;
+        state.frontier_bitmap.set_atomic(vi);
+        next_edges += g.out_degree(v);
+        mine.push_back(v);
       };
       if constexpr (graph::PrefetchableView<V>) {
         if (dist > 0) {
@@ -130,31 +149,41 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
       }
       g.for_each_out_neighbor(u, visit);
     }
+
+    // Every part is complete (the loop's barrier). Concatenate them in
+    // thread-id order into the state-owned next queue, each thread
+    // copying its own part to the offset its predecessors' sizes give.
+#ifdef _OPENMP
+#pragma omp single
+#endif
+    {
+      std::size_t total = 0;
+      for (const auto& part : local_next) total += part.size();
+      next.resize(total);
+    }
+    std::size_t at = 0;
+    for (int t = 0; t < tid; ++t) {
+      at += local_next[static_cast<std::size_t>(t)].size();
+    }
+    std::copy(mine.begin(), mine.end(),
+              next.begin() + static_cast<std::ptrdiff_t>(at));
   }
 
   stats.frontier_edges = frontier_edges;
-
-  // Merge in thread-id order into the state-owned next queue, then swap
-  // it with the frontier: the old frontier's storage becomes the next
-  // level's merge target — no allocation once capacities plateau.
-  auto& next = state.td_next;
-  next.clear();
-  std::size_t total = 0;
-  for (const auto& part : local_next) total += part.size();
-  next.reserve(total);
-  for (const auto& part : local_next) {
-    next.insert(next.end(), part.begin(), part.end());
-  }
-
   stats.next_vertices = static_cast<vid_t>(next.size());
   state.reached += stats.next_vertices;
   state.current_level = next_level;
+  state.frontier_edges = next_edges;
+  // Swap the merged queue in as the frontier: the old frontier's
+  // storage becomes the next level's merge target — no allocation once
+  // capacities plateau.
   state.frontier_queue.swap(next);
-  queue_to_bitmap(state.frontier_queue, state.frontier_bitmap);
   // Catches a lost atomic claim (parent written without the level, a
   // double discovery) at the level it happened, including the straggler
   // bookkeeping this step leaves in a primed bottom-up candidate list.
   BFSX_PARANOID(state.assert_invariants(g.num_vertices()));
+  BFSX_PARANOID(BFSX_CHECK_EQ(state.frontier_edges,
+                              frontier_out_edges(g, state.frontier_queue)));
   return stats;
 }
 

@@ -1,6 +1,5 @@
 #include "core/adaptive_bfs.h"
 
-#include "bfs/frontier.h"
 #include "core/trace_emit.h"
 
 namespace bfsx::core {
@@ -16,7 +15,7 @@ CombinationRun run_combination(const graph::CsrGraph& g, graph::vid_t root,
   bfs::Direction prev = bfs::Direction::kTopDown;
   bool first = true;
   while (!state.frontier_empty()) {
-    const graph::eid_t e_cq = bfs::frontier_out_edges(g, state.frontier_queue);
+    const graph::eid_t e_cq = state.frontier_out_edges(g);
     const auto v_cq = static_cast<graph::vid_t>(state.frontier_queue.size());
     const bfs::Direction dir =
         policy.decide(e_cq, v_cq, g.num_edges(), g.num_vertices());
@@ -52,7 +51,7 @@ CombinationRun run_combination_beamer(const graph::CsrGraph& g,
   graph::eid_t explored = 0;
   bool first = true;
   while (!state.frontier_empty()) {
-    const graph::eid_t e_cq = bfs::frontier_out_edges(g, state.frontier_queue);
+    const graph::eid_t e_cq = state.frontier_out_edges(g);
     explored += e_cq;
     const auto v_cq = static_cast<graph::vid_t>(state.frontier_queue.size());
     const bfs::Direction dir = policy.decide(

@@ -1,6 +1,5 @@
 #include "core/cross_arch_bfs.h"
 
-#include "bfs/frontier.h"
 #include "core/trace_emit.h"
 
 namespace bfsx::core {
@@ -25,7 +24,7 @@ CombinationRun run_cross_impl(const graph::CsrGraph& g, graph::vid_t root,
   bool first = true;
 
   while (!state.frontier_empty()) {
-    const graph::eid_t e_cq = bfs::frontier_out_edges(g, state.frontier_queue);
+    const graph::eid_t e_cq = state.frontier_out_edges(g);
     const auto v_cq = static_cast<graph::vid_t>(state.frontier_queue.size());
 
     const sim::Device* device = nullptr;

@@ -1,7 +1,6 @@
 #include "core/level_trace.h"
 
 #include "bfs/bottomup.h"
-#include "bfs/frontier.h"
 #include "bfs/topdown.h"
 
 namespace bfsx::core {
@@ -16,7 +15,7 @@ LevelTrace build_level_trace(const graph::CsrGraph& g, graph::vid_t root) {
     TraceLevel lvl;
     lvl.level = state.current_level;
     lvl.frontier_vertices = static_cast<graph::vid_t>(state.frontier_queue.size());
-    lvl.frontier_edges = bfs::frontier_out_edges(g, state.frontier_queue);
+    lvl.frontier_edges = state.frontier_out_edges(g);
 
     const bfs::BottomUpStats probe = bfs::bottom_up_probe(g, state);
     lvl.bu_edges_hit = probe.edges_scanned_hit;

@@ -162,10 +162,7 @@ DistBfsRun run_dist_bfs(const graph::CsrGraph& g, vid_t root,
     DistLevelOutcome out;
     out.level = state.current_level;
     out.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
-    out.frontier_edges = 0;
-    for (const vid_t u : state.frontier_queue) {
-      out.frontier_edges += g.out_degree(u);
-    }
+    out.frontier_edges = state.frontier_out_edges(g);
 
     // Superstep step 1: allreduce the counters, take the global branch.
     out.comm_seconds += cluster.allreduce_seconds(kCounterBytes);

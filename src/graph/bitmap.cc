@@ -5,6 +5,13 @@
 #include <bit>
 
 namespace bfsx::graph {
+namespace {
+
+/// Below this many words a word-wise pass costs less than waking a
+/// team (the same cutoff the frontier decode uses).
+constexpr std::int64_t kParallelWords = 4096;
+
+}  // namespace
 
 Bitmap::Bitmap(std::size_t size) : size_(size) {
   words_.resize((size + 63) / 64);  // default-init: no touch yet
@@ -41,6 +48,23 @@ bool Bitmap::test_and_set_atomic(std::size_t pos) noexcept {
   // to other threads only past the OpenMP barrier that ends the level,
   // so no acquire/release pairing is needed here.
   return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
+}
+
+Bitmap& Bitmap::operator|=(const Bitmap& other) noexcept {
+  std::uint64_t* dst = words_.data();
+  const std::uint64_t* src = other.words_.data();
+  const auto count = static_cast<std::int64_t>(
+      std::min(words_.size(), other.words_.size()));
+  // mem-order: plain loads and stores — both maps are quiescent here
+  // (callers fold between level steps, after the barrier that ended the
+  // writers' region), and each word is written by one iteration only.
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (count >= kParallelWords)
+#endif
+  for (std::int64_t w = 0; w < count; ++w) {
+    dst[w] |= src[w];
+  }
+  return *this;
 }
 
 bool Bitmap::none() const noexcept {

@@ -3,9 +3,11 @@
 // The paper stores the current queue as a bitmap on the bottom-up side
 // ("use bitmap for the CQ", Section IV); this is that container. Thread
 // safety: set_atomic() / test_and_set_atomic() may race freely from
-// OpenMP workers; everything else is single-writer.
+// OpenMP workers, and test_relaxed() may read a word they are setting;
+// everything else is single-writer.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -34,6 +36,24 @@ class Bitmap {
     return (words_[pos >> 6] >> (pos & 63)) & 1ULL;
   }
 
+  /// test() for a word other threads may be setting concurrently with
+  /// set_atomic() / test_and_set_atomic(): an atomic read, where a
+  /// plain one would be a data race. The top-down kernel calls it
+  /// before its claim so an already-visited neighbour costs a load
+  /// instead of a read-modify-write.
+  [[nodiscard]] bool test_relaxed(std::size_t pos) const noexcept {
+    // The storage is never const; the cast only lets a const Bitmap be
+    // read through an atomic_ref, whose load does not write.
+    const std::atomic_ref<std::uint64_t> word(
+        const_cast<std::uint64_t&>(words_[pos >> 6]));
+    // mem-order: relaxed — a pre-filter in front of test_and_set_atomic,
+    // never a claim: bits are only set while a level runs, so a set bit
+    // read here is final, and a stale clear bit merely sends the caller
+    // on to the fetch_or, which re-validates. No other data is
+    // published through the bit.
+    return ((word.load(std::memory_order_relaxed) >> (pos & 63)) & 1ULL) != 0;
+  }
+
   /// Non-atomic set; caller guarantees exclusive access to the word.
   void set(std::size_t pos) noexcept { words_[pos >> 6] |= 1ULL << (pos & 63); }
 
@@ -42,11 +62,10 @@ class Bitmap {
     words_[pos >> 6] &= ~(1ULL << (pos & 63));
   }
 
-  /// Zeroes the whole 64-bit word containing bit `pos`. The bottom-up
-  /// kernel uses this to wipe only the dirty words of its scratch
-  /// bitmap (one store per frontier vertex instead of an O(n/64) full
-  /// reset); callers must own every bit of the word.
-  void clear_word(std::size_t pos) noexcept { words_[pos >> 6] = 0; }
+  /// Sets every bit that is set in `other` (same size), word by word,
+  /// in parallel for large maps. The bottom-up kernel folds a level's
+  /// discoveries into the visited set with it.
+  Bitmap& operator|=(const Bitmap& other) noexcept;
 
   /// Software-prefetch hint for the cache line holding bit `pos`
   /// (read intent). The prefetch kernels (bfs/mem_tuning.h) issue these
@@ -66,7 +85,8 @@ class Bitmap {
 
   /// Atomically sets bit `pos` and reports whether it was previously
   /// clear (i.e. whether this caller won the race). The BFS top-down
-  /// kernel uses this as its visited check-and-claim.
+  /// kernel uses this as its visited claim, behind a test_relaxed()
+  /// pre-check.
   bool test_and_set_atomic(std::size_t pos) noexcept;
 
   /// Population count over all bits.

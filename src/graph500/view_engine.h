@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "bfs/bottomup.h"
-#include "bfs/frontier.h"
 #include "bfs/state_pool.h"
 #include "bfs/topdown.h"
 #include "core/hybrid_policy.h"
@@ -34,11 +33,12 @@ inline double seconds_since(EngineClock::time_point start) {
 /// Runs a traversal with `step(state, event_or_null)`. With no sink the
 /// loop is exactly the untraced original — one clock read per
 /// traversal, no per-level work. With a sink, each level is wall-timed
-/// and emitted (the counter collection adds a frontier scan on
-/// bottom-up levels, so traced native runs pay a small, explicit
-/// observation cost). With a pool, the state is a recycled lease
-/// instead of a fresh allocation; take_result still moves the maps out,
-/// and the next checkout's reset refills them.
+/// and emitted; the counters come from the kernels' own stats and the
+/// |E|cq the previous step carried in the state, so a traced level
+/// costs two clock reads and an event, never an extra frontier scan.
+/// With a pool, the state is a recycled lease instead of a fresh
+/// allocation; take_result still moves the maps out, and the next
+/// checkout's reset refills them.
 template <typename G, typename Step>
 TimedBfs traced_traversal(const G& g, graph::vid_t root, const char* engine,
                           obs::TraceSink* sink, bfs::StatePool* pool,
@@ -106,11 +106,12 @@ void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
   }
   e->level = s.current_level;
   e->direction = bfs::Direction::kBottomUp;
-  // |E|cq is not a bottom-up kernel byproduct; count it so traces from
-  // every engine family carry the same per-level counters.
-  e->frontier_vertices = static_cast<graph::vid_t>(s.frontier_queue.size());
-  e->frontier_edges = bfs::frontier_out_edges(g, s.frontier_queue);
+  // |E|cq is not something bottom-up scans for; the step that built
+  // this frontier carried it, so traces from every engine family hold
+  // the same per-level counters.
+  e->frontier_edges = s.frontier_out_edges(g);
   const bfs::BottomUpStats stats = bfs::bottom_up_step(g, s, tuning);
+  e->frontier_vertices = stats.frontier_vertices;
   e->bu_edges_hit = stats.edges_scanned_hit;
   e->bu_edges_miss = stats.edges_scanned_miss;
   e->next_vertices = stats.next_vertices;
@@ -118,12 +119,12 @@ void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
 
 /// One M/N-decided level: evaluates `policy` against the real frontier
 /// statistics — exactly like the simulated executor — then steps in the
-/// chosen direction.
+/// chosen direction. |E|cq is the value the previous step carried.
 template <typename G>
 void step_hybrid(const G& g, const core::HybridPolicy& policy,
                  bfs::BfsState& s, obs::LevelEvent* e,
                  bfs::MemTuning tuning = {}) {
-  const graph::eid_t e_cq = bfs::frontier_out_edges(g, s.frontier_queue);
+  const graph::eid_t e_cq = s.frontier_out_edges(g);
   const auto v_cq = static_cast<graph::vid_t>(s.frontier_queue.size());
   if (policy.decide(e_cq, v_cq, g.num_edges(), g.num_vertices()) ==
       bfs::Direction::kTopDown) {

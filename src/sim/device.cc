@@ -1,6 +1,5 @@
 #include "sim/device.h"
 
-#include "bfs/frontier.h"
 
 namespace bfsx::sim {
 
@@ -23,7 +22,7 @@ LevelOutcome Device::run_bottom_up_level(const graph::CsrGraph& g,
   out.direction = bfs::Direction::kBottomUp;
   out.level = state.current_level;
   out.frontier_vertices = static_cast<graph::vid_t>(state.frontier_queue.size());
-  out.frontier_edges = bfs::frontier_out_edges(g, state.frontier_queue);
+  out.frontier_edges = state.frontier_out_edges(g);
   const bfs::BottomUpStats s = bfs::bottom_up_step(g, state);
   out.bu_edges_hit = s.edges_scanned_hit;
   out.bu_edges_miss = s.edges_scanned_miss;

@@ -108,6 +108,96 @@ TEST(Bitmap, ConcurrentTestAndSetClaimsEachBitOnce) {
   EXPECT_EQ(bm.count(), kBits);
 }
 
+TEST(Bitmap, TestRelaxedAgreesWithTest) {
+  Bitmap bm(200);
+  for (std::size_t i = 0; i < 200; i += 3) bm.set(i);
+  const Bitmap& view = bm;  // readable through a const Bitmap
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(view.test_relaxed(i), view.test(i)) << i;
+  }
+}
+
+TEST(Bitmap, RelaxedPrecheckBeforeClaimStillElectsOneWinner) {
+  // The top-down protocol: skip bits that already read set, claim the
+  // rest with test_and_set_atomic. A stale relaxed read may only send a
+  // thread on to the RMW, which re-validates — so every bit is still
+  // claimed exactly once, while other threads set neighbouring bits of
+  // the same words.
+  constexpr std::size_t kBits = 1 << 14;
+  constexpr int kThreads = 4;
+  Bitmap bm(kBits);
+  std::vector<std::size_t> claims(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&bm, &claims, t] {
+        for (std::size_t k = 0; k < kBits; ++k) {
+          // Threads sweep from different offsets so they contend.
+          const std::size_t i =
+              (k + static_cast<std::size_t>(t) * (kBits / kThreads)) % kBits;
+          if (bm.test_relaxed(i)) continue;
+          if (bm.test_and_set_atomic(i)) ++claims[static_cast<std::size_t>(t)];
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  std::size_t total = 0;
+  for (const std::size_t c : claims) total += c;
+  EXPECT_EQ(total, kBits);  // every bit claimed exactly once
+  EXPECT_EQ(bm.count(), kBits);
+}
+
+TEST(Bitmap, TestRelaxedSeesBitsOnceSetByOtherThreads) {
+  // A set bit is final: once a reader sees it, it keeps seeing it.
+  constexpr std::size_t kBits = 1 << 12;
+  Bitmap bm(kBits);
+  bool regressed = false;
+  std::thread writer([&bm] {
+    for (std::size_t i = 0; i < kBits; ++i) bm.set_atomic(i);
+  });
+  std::thread reader([&bm, &regressed] {
+    std::vector<bool> seen(kBits, false);
+    for (int pass = 0; pass < 8; ++pass) {
+      for (std::size_t i = 0; i < kBits; ++i) {
+        const bool now = bm.test_relaxed(i);
+        if (seen[i] && !now) regressed = true;
+        seen[i] = seen[i] || now;
+      }
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_FALSE(regressed);
+  for (std::size_t i = 0; i < kBits; ++i) EXPECT_TRUE(bm.test_relaxed(i));
+}
+
+TEST(Bitmap, OrAssignFoldsWordWise) {
+  // 130 bits (a partial last word) and 600000 bits (over the parallel
+  // cutoff of 4096 words).
+  for (const std::size_t n : {std::size_t{130}, std::size_t{600000}}) {
+    Bitmap acc(n);
+    Bitmap add(n);
+    std::size_t want = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool a = i % 3 == 0;
+      const bool b = i % 5 == 1 || i == n - 1;
+      if (a) acc.set(i);
+      if (b) add.set(i);
+      if (a || b) ++want;
+    }
+    const std::size_t add_count = add.count();
+    acc |= add;
+    EXPECT_EQ(acc.count(), want) << n;
+    EXPECT_EQ(add.count(), add_count) << n;  // the operand is untouched
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(acc.test(i), i % 3 == 0 || i % 5 == 1 || i == n - 1)
+          << n << " bit " << i;
+    }
+  }
+}
+
 TEST(Bitmap, CountMatchesPopulationAcrossWordBoundaries) {
   Bitmap bm(1000);
   std::size_t want = 0;
