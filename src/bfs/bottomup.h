@@ -102,7 +102,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   const std::int32_t next_level = state.current_level + 1;
   if (!state.unvisited_primed) {
     decode_bits(state.visited, /*complement=*/true, state.unvisited,
-                state.bu_spans);
+                state.spans);
     state.unvisited_primed = true;
   }
 
@@ -139,7 +139,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   vid_t* const cand = state.unvisited.data();
   const std::size_t ncand = state.unvisited.size();
   stats.candidates = static_cast<vid_t>(ncand);
-  std::vector<BlockSpan>& spans = state.bu_spans;
+  std::vector<BlockSpan>& spans = state.spans;
   spans.resize(compact_blocks(ncand));
   const auto nblocks = static_cast<std::int64_t>(spans.size());
 

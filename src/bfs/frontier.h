@@ -1,7 +1,8 @@
 // Frontier bookkeeping helpers: bitmap-to-queue decoding, the two
-// quantities the switching rule tests every level, |V|cq and |E|cq, and
+// quantities the switching rule tests every level, |V|cq and |E|cq,
 // the ordered parallel compaction the bottom-up and MS-BFS kernels use
-// to shrink their candidate lists.
+// to shrink their candidate lists, and the edge-balanced pieces the
+// top-down kernels deal a frontier out in.
 //
 // Every parallel helper here partitions its input into fixed-size
 // blocks, never into per-thread chunks, so its output is the serial
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -153,6 +155,123 @@ void filter_ordered(std::size_t count, graph::vid_t* staging,
     }
     gather_blocks(staging, count, spans, out,
                   static_cast<Out*>(nullptr));
+  }
+}
+
+// ---- edge-balanced top-down pieces ---------------------------------
+
+/// Out-edges per piece of a top-down level. The frontier's rows, laid
+/// end to end, are cut every kPieceEdges edges, and threads take pieces
+/// rather than vertices, so a hub row is spread over the team instead
+/// of pinning the thread that drew it.
+inline constexpr graph::eid_t kPieceEdges = 1024;
+
+[[nodiscard]] constexpr std::int64_t piece_count(graph::eid_t edges) {
+  return (edges + kPieceEdges - 1) / kPieceEdges;
+}
+
+/// Sets `offsets` to the count + 1 exclusive prefix sums of weight(i),
+/// i in [0, count), and returns the total, offsets[count]. Each block
+/// of kCompactBlock rows stages its weights and their sum, one prefix
+/// sum runs over the blocks, and each block turns its weights into
+/// offsets; a single block runs on the calling thread. `spans` is
+/// per-block scratch; both buffers are kept by the caller so repeated
+/// calls allocate nothing.
+template <typename Weight>
+graph::eid_t prefix_offsets(std::size_t count, Weight&& weight,
+                            std::vector<graph::eid_t>& offsets,
+                            std::vector<BlockSpan>& spans) {
+  offsets.resize(count + 1);
+  spans.resize(compact_blocks(count));
+  graph::eid_t* const out = offsets.data();
+  const auto nblocks = static_cast<std::int64_t>(spans.size());
+#ifdef _OPENMP
+#pragma omp parallel if (nblocks > 1)
+#endif
+  {
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kCompactBlock;
+      const std::size_t hi = std::min(count, lo + kCompactBlock);
+      graph::eid_t sum = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const graph::eid_t w = weight(i);
+        out[i + 1] = w;
+        sum += w;
+      }
+      spans[static_cast<std::size_t>(b)] = {
+          .front = static_cast<std::size_t>(sum), .back = 0};
+    }
+#ifdef _OPENMP
+#pragma omp single
+#endif
+    prefix_spans(spans);
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const std::size_t lo = static_cast<std::size_t>(b) * kCompactBlock;
+      const std::size_t hi = std::min(count, lo + kCompactBlock);
+      auto at = static_cast<graph::eid_t>(
+          spans[static_cast<std::size_t>(b)].front_at);
+      for (std::size_t i = lo; i < hi; ++i) {
+        at += out[i + 1];
+        out[i + 1] = at;
+      }
+    }
+  }
+  out[0] = 0;
+  return out[count];
+}
+
+/// Calls visit(i, w) for every out-edge (rows[i], w) in piece `piece`
+/// of a frontier whose row weights prefix_offsets summed into
+/// `offsets` (a row's weight is its out-degree, or 0 to skip the row).
+/// Piece p covers positions [p * kPieceEdges, (p + 1) * kPieceEdges)
+/// of the weighted rows laid end to end. On a graph::RowView it walks
+/// exactly those edges, so a long row is split over several pieces;
+/// any other view has each row that starts inside the piece walked
+/// whole. Either way every edge of every weighted row falls in exactly
+/// one of the piece_count(offsets[rows.size()]) pieces. With
+/// prefetch = d > 0 on a PrefetchableView, each row also prefetches
+/// the row d places ahead.
+template <graph::GraphView V, typename Visit>
+void expand_piece(const V& g, std::span<const graph::vid_t> rows,
+                  const graph::eid_t* offsets, std::int64_t piece,
+                  std::size_t prefetch, Visit&& visit) {
+  const std::size_t count = rows.size();
+  const graph::eid_t begin = piece * kPieceEdges;
+  const graph::eid_t end = std::min(offsets[count], begin + kPieceEdges);
+  // Split rows start at the row holding edge `begin`; whole rows at
+  // the first row starting at or after it.
+  std::size_t i = 0;
+  if constexpr (graph::RowView<V>) {
+    i = static_cast<std::size_t>(
+        std::upper_bound(offsets, offsets + count, begin) - offsets - 1);
+  } else {
+    i = static_cast<std::size_t>(
+        std::lower_bound(offsets, offsets + count, begin) - offsets);
+  }
+  for (; i < count && offsets[i] < end; ++i) {
+    if (offsets[i + 1] == offsets[i]) continue;  // empty or skipped row
+    const graph::vid_t u = rows[i];
+    if constexpr (graph::PrefetchableView<V>) {
+      if (prefetch > 0 && i + prefetch < count) {
+        g.prefetch_out_row(rows[i + prefetch]);
+      }
+    }
+    if constexpr (graph::RowView<V>) {
+      const std::span<const graph::vid_t> row = g.out_row(u);
+      const auto lo =
+          static_cast<std::size_t>(std::max(begin, offsets[i]) - offsets[i]);
+      const auto hi =
+          static_cast<std::size_t>(std::min(end, offsets[i + 1]) - offsets[i]);
+      for (std::size_t j = lo; j < hi; ++j) visit(i, row[j]);
+    } else {
+      g.for_each_out_neighbor(u, [&visit, i](graph::vid_t w) { visit(i, w); });
+    }
   }
 }
 

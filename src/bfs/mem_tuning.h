@@ -14,10 +14,10 @@ class HubCache;
 
 /// Software-prefetch lookahead for the traversal loops. `distance` is
 /// how many iterations ahead the kernels issue `__builtin_prefetch`
-/// hints: top-down prefetches the adjacency row of `queue[i + d]` (and
-/// the visited-bitmap word of the neighbour `d` slots ahead inside each
-/// row); bottom-up prefetches the in-row of `unvisited[i + d]` when it
-/// lies in the same block of candidates.
+/// hints: top-down prefetches the adjacency row of the frontier vertex
+/// `d` places ahead of the row it walks; bottom-up prefetches the
+/// in-row of `unvisited[i + d]` when it lies in the same block of
+/// candidates.
 /// 0 disables prefetching entirely — the kernels take the plain loop,
 /// not a d=0 degenerate of the prefetching one.
 struct PrefetchConfig {

@@ -14,9 +14,10 @@
 // per-lane distances are bit-equal to reference_bfs, and the per-lane
 // |V|cq / |E|cq counters match the single-source LevelTrace, so the
 // paper's M/N switching rule stays exact per root. Parents are valid
-// BFS parents; like the single-source parallel kernels they are
-// tie-broken nondeterministically under top-down races (levels never
-// are).
+// BFS parents; bottom-up levels pick them deterministically, but a
+// top-down level gives each lane bit to the thread that claims it
+// first, so unlike the single-source kernels' parents they depend on
+// the schedule (levels never do).
 //
 // A pass records only what its caller reads (MsBfsRequest): a full
 // tree, a level row in caller storage, or single (lane, target) cells.
@@ -147,6 +148,10 @@ struct MsLaneState {
   std::array<std::int32_t*, kMsBfsMaxLanes> level{};
   std::uint64_t maps = 0;  // lanes recording a level map (trees and rows)
   std::uint64_t live = 0;  // lanes still traversing
+  /// Top-down piece offsets over the active list (bfs/frontier.h), and
+  /// per-block scratch shared by that prefix and the candidate filter.
+  std::vector<graph::eid_t> offsets;
+  std::vector<BlockSpan> spans;
 };
 
 /// Writes lane maps for the lanes of `won` that record them.
@@ -161,31 +166,42 @@ inline void ms_record(MsLaneState& s, std::uint64_t won, std::size_t w,
   }
 }
 
-/// Expands the union frontier top-down. Threads race to claim lanes of
-/// a neighbour with one fetch_or on its `seen` word; the winner of each
-/// bit — and only the winner — writes that lane's parent/level entry,
-/// so the stores are per-(lane, vertex) exclusive. Which thread wins is
-/// schedule-dependent, but *whether* a lane is claimed at this level is
+/// Expands the union frontier top-down, dealt out like the
+/// single-source kernel in pieces of kPieceEdges edges of the active
+/// rows (a row carrying only retired lanes weighs nothing), so the hub
+/// roots of a landmark batch spread over the team. Threads race to
+/// claim lanes of a neighbour with one fetch_or on its `seen` word; the
+/// winner of each bit — and only the winner — writes that lane's
+/// parent/level entry, so the stores are per-(lane, vertex) exclusive.
+/// Which thread wins, and so which parent a lane records, depends on
+/// the schedule, but *whether* a lane is claimed at this level does
 /// not: a lane bit is claimable iff some frontier vertex carries it,
 /// which is fixed before the step starts. Levels and counters are
-/// therefore thread-count invariant (parents tie-break like the
-/// single-source top-down kernel).
+/// therefore thread-count invariant.
 template <graph::GraphView V>
 void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
                       MsLaneState& s, std::int32_t next_level) {
-  const auto count = static_cast<std::int64_t>(active.size());
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::int64_t i = 0; i < count; ++i) {
-    const graph::vid_t v = active[static_cast<std::size_t>(i)];
-    const std::uint64_t mask = s.visit[static_cast<std::size_t>(v)] & s.live;
-    if (mask == 0) continue;  // carries only lanes that retired
-    g.for_each_out_neighbor(v, [&](graph::vid_t w) {
+  const auto carried = [&s, &active](std::size_t i) {
+    return s.visit[static_cast<std::size_t>(active[i])] & s.live;
+  };
+  const std::int64_t pieces = piece_count(prefix_offsets(
+      active.size(),
+      [&g, &active, &carried](std::size_t i) -> graph::eid_t {
+        return carried(i) != 0 ? g.out_degree(active[i]) : 0;
+      },
+      s.offsets, s.spans));
+  const graph::eid_t* const offsets = s.offsets.data();
+#pragma omp parallel for schedule(dynamic, 1) if (pieces > 1)
+  for (std::int64_t p = 0; p < pieces; ++p) {
+    expand_piece(g, active, offsets, p, 0, [&](std::size_t i,
+                                                graph::vid_t w) {
       const auto wi = static_cast<std::size_t>(w);
       std::atomic_ref<std::uint64_t> seen_w(s.seen[wi]);
       // mem-order: relaxed — advisory pre-filter only; a stale load can
       // merely let a lane through to the fetch_or below, which
       // re-validates, so no ordering is consumed from this read.
-      std::uint64_t cand = mask & ~seen_w.load(std::memory_order_relaxed);
+      const std::uint64_t cand =
+          carried(i) & ~seen_w.load(std::memory_order_relaxed);
       if (cand == 0) return;  // stale-load misses retry via fetch_or
       // mem-order: relaxed — the RMW's atomicity elects one winner per
       // lane bit; the winner's parent/level stores are read by other
@@ -202,7 +218,7 @@ void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
           std::atomic_ref<std::uint64_t>(s.visit_next[wi])
               .fetch_or(won, std::memory_order_relaxed);
       if (before == 0) s.discovered.set_atomic(wi);
-      ms_record(s, won, wi, v, next_level);
+      ms_record(s, won, wi, active[i], next_level);
     });
   }
 }
@@ -370,7 +386,6 @@ template <graph::HybridView V>
   // parallel filter (bfs/frontier.h) staging through `spare`.
   graph::numa::vector<vid_t> candidates;
   graph::numa::vector<vid_t> spare;
-  std::vector<BlockSpan> spans;
   bool candidates_primed = false;
   const auto unfinished = [&s](vid_t v) {
     return (s.seen[static_cast<std::size_t>(v)] & s.live) != s.live;
@@ -429,7 +444,7 @@ template <graph::HybridView V>
       if (!candidates_primed) {
         spare.resize(nn);
         filter_ordered(
-            nn, spare.data(), spans, candidates,
+            nn, spare.data(), s.spans, candidates,
             [](std::size_t v) { return static_cast<vid_t>(v); }, unfinished);
         candidates_primed = true;
       }
@@ -453,7 +468,7 @@ template <graph::HybridView V>
     if (dir == Direction::kBottomUp) {
       const vid_t* from = candidates.data();
       filter_ordered(
-          candidates.size(), candidates.data(), spans, spare,
+          candidates.size(), candidates.data(), s.spans, spare,
           [from](std::size_t i) { return from[i]; }, unfinished);
       candidates.swap(spare);
     }

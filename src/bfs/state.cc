@@ -32,7 +32,8 @@ void BfsState::reset(vid_t num_vertices, vid_t root) {
   unvisited_spare.clear();
   unvisited_primed = false;
   bu_scratch.resize_and_reset(n);
-  for (auto& part : td_local_next) part.clear();
+  td_offsets.clear();
+  for (auto& part : td_local_next) part.items.clear();
   td_next.clear();
   current_level = 0;
   parent[static_cast<std::size_t>(root)] = root;

@@ -96,23 +96,34 @@ struct BfsState {
   graph::numa::vector<vid_t> unvisited;
   graph::numa::vector<vid_t> unvisited_spare;
   bool unvisited_primed = false;
-  /// Per-block tallies of the prime decode and the bottom-up
-  /// compaction (bfs/frontier.h), kept so no level allocates.
-  std::vector<BlockSpan> bu_spans;
+  /// Per-block tallies of the blocked passes (bfs/frontier.h): the
+  /// bottom-up prime decode and compaction, and the top-down prefix.
+  /// Kept so no level allocates.
+  std::vector<BlockSpan> spans;
 
   /// Scratch next-frontier bitmap reused by bottom_up_step so no level
   /// allocates. Invariant: all-zero between steps (after the swap the
   /// kernel hands the outgoing frontier's bitmap back cleared).
   Bitmap bu_scratch;
 
-  /// Top-down scratch: per-thread discovery buffers and the merged next
-  /// queue, owned by the state so steady-state levels allocate nothing
-  /// (mirror of bu_scratch for the other direction). The kernel sizes
+  /// One thread's top-down discoveries, alone on its cache line: the
+  /// threads append concurrently, and vector headers sharing a line
+  /// would make every append a coherence miss.
+  struct alignas(64) Discoveries {
+    std::vector<vid_t> items;
+  };
+
+  /// Top-down scratch, owned by the state so steady-state levels
+  /// allocate nothing (mirror of bu_scratch for the other direction):
+  /// the exclusive out-degree prefix of the frontier queue, which cuts
+  /// the level into edge-balanced pieces (bfs/frontier.h), per-thread
+  /// discovery buffers, and the merged next queue. The kernel sizes
   /// td_local_next to the team width on first use, clears the parts
   /// (capacity retained) each level, and swaps td_next with the
   /// frontier queue — after the first few levels every buffer has
   /// reached its high-water capacity and stays there.
-  std::vector<std::vector<vid_t>> td_local_next;
+  std::vector<eid_t> td_offsets;
+  std::vector<Discoveries> td_local_next;
   std::vector<vid_t> td_next;
 
   /// Hub-cache frontier snapshot (bfs/hub_cache.h): bit r set iff hub

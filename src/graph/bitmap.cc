@@ -51,20 +51,28 @@ bool Bitmap::test_and_set_atomic(std::size_t pos) noexcept {
 }
 
 Bitmap& Bitmap::operator|=(const Bitmap& other) noexcept {
+#ifdef _OPENMP
+#pragma omp parallel if (std::min(words_.size(), other.words_.size()) >= \
+                         static_cast<std::size_t>(kParallelWords))
+#endif
+  or_words(other);
+  return *this;
+}
+
+void Bitmap::or_words(const Bitmap& other) noexcept {
   std::uint64_t* dst = words_.data();
   const std::uint64_t* src = other.words_.data();
   const auto count = static_cast<std::int64_t>(
       std::min(words_.size(), other.words_.size()));
   // mem-order: plain loads and stores — both maps are quiescent here
-  // (callers fold between level steps, after the barrier that ended the
-  // writers' region), and each word is written by one iteration only.
+  // (callers fold after the barrier that ended the level's writers),
+  // and each word is written by one iteration only.
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (count >= kParallelWords)
+#pragma omp for schedule(static) nowait
 #endif
   for (std::int64_t w = 0; w < count; ++w) {
     dst[w] |= src[w];
   }
-  return *this;
 }
 
 bool Bitmap::none() const noexcept {

@@ -39,8 +39,8 @@ class Bitmap {
   /// test() for a word other threads may be setting concurrently with
   /// set_atomic() / test_and_set_atomic(): an atomic read, where a
   /// plain one would be a data race. The top-down kernel calls it
-  /// before its claim so an already-visited neighbour costs a load
-  /// instead of a read-modify-write.
+  /// before its next-frontier claim so an already-claimed neighbour
+  /// costs a load instead of a read-modify-write.
   [[nodiscard]] bool test_relaxed(std::size_t pos) const noexcept {
     // The storage is never const; the cast only lets a const Bitmap be
     // read through an atomic_ref, whose load does not write.
@@ -67,26 +67,20 @@ class Bitmap {
   /// discoveries into the visited set with it.
   Bitmap& operator|=(const Bitmap& other) noexcept;
 
-  /// Software-prefetch hint for the cache line holding bit `pos`
-  /// (read intent). The prefetch kernels (bfs/mem_tuning.h) issue these
-  /// a configurable distance ahead of the dependent load.
-  void prefetch(std::size_t pos) const noexcept {
-    __builtin_prefetch(words_.data() + (pos >> 6), 0, 3);
-  }
-
-  /// Prefetch with write intent (the line will be claimed exclusive) —
-  /// for bits about to be test_and_set.
-  void prefetch_write(std::size_t pos) const noexcept {
-    __builtin_prefetch(words_.data() + (pos >> 6), 1, 3);
-  }
+  /// operator|= as an orphaned worksharing loop, for a fold inside a
+  /// region that is already running (the top-down kernel's): call it
+  /// from every thread of the region, or from outside any region to run
+  /// serially. It ends without a barrier; the caller's next one (the
+  /// region's end, at the latest) completes the fold.
+  void or_words(const Bitmap& other) noexcept;
 
   /// Atomically sets bit `pos`; safe under concurrent writers.
   void set_atomic(std::size_t pos) noexcept;
 
   /// Atomically sets bit `pos` and reports whether it was previously
   /// clear (i.e. whether this caller won the race). The BFS top-down
-  /// kernel uses this as its visited claim, behind a test_relaxed()
-  /// pre-check.
+  /// kernel uses this as its next-frontier claim, behind a
+  /// test_relaxed() pre-check.
   bool test_and_set_atomic(std::size_t pos) noexcept;
 
   /// Population count over all bits.

@@ -13,11 +13,11 @@
 //
 // Capability tiers modelled (graph/view.h): HybridView (both-direction
 // enumeration + exact edge count, i.e. everything the M/N drivers
-// need) and PrefetchableView (row prefetch hints; the per-neighbour
-// lookahead degenerates to plain enumeration because decoded values
-// only exist sequentially). has_edge is deliberately not provided —
-// a membership probe would decode the whole row, and the validator's
-// linear fallback does exactly that anyway.
+// need) and PrefetchableView (row prefetch hints). It does not model
+// RowView: decoded values only exist sequentially, so the top-down
+// kernels walk each of its rows whole. has_edge is deliberately not
+// provided — a membership probe would decode the whole row, and the
+// validator's linear fallback does exactly that anyway.
 //
 // DESIGN.md §12.3 documents the format; test_compressed_csr holds the
 // view to bit-equal traversals against CsrGraphView.
@@ -157,15 +157,6 @@ class CompressedCsrView {
     __builtin_prefetch(in.bytes.data() + in.byte_offsets[u], 0, 3);
   }
 
-  /// PrefetchableView: neighbours only exist after sequential decode,
-  /// so the lookahead hint is legally skipped (see the concept's
-  /// contract) and this is plain enumeration.
-  template <typename Pf, typename Fn>
-  void for_each_out_neighbor_ahead(vid_t v, int /*distance*/, Pf&& /*pf*/,
-                                   Fn&& fn) const {
-    for_each_out_neighbor(v, std::forward<Fn>(fn));
-  }
-
   /// Compressed payload bytes (both directions; excludes offsets).
   [[nodiscard]] std::size_t compressed_bytes() const noexcept {
     return out_.bytes.size() + (symmetric_ ? 0 : in_.bytes.size());
@@ -198,5 +189,6 @@ class CompressedCsrView {
 
 static_assert(HybridView<CompressedCsrView>);
 static_assert(PrefetchableView<CompressedCsrView>);
+static_assert(!RowView<CompressedCsrView>);
 
 }  // namespace bfsx::graph

@@ -166,6 +166,7 @@ class DeltaCsr {
 
 static_assert(HybridView<DeltaCsr>);
 static_assert(EdgeQueryView<DeltaCsr>);
+static_assert(RowView<DeltaCsr>);
 static_assert(!PrefetchableView<DeltaCsr>);
 
 }  // namespace bfsx::graph

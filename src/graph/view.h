@@ -22,6 +22,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,30 +100,30 @@ concept EdgeQueryView = GraphView<V> && requires(const V& g, vid_t u, vid_t v) {
 template <typename V>
 concept HybridView = TransposeView<V> && EdgeCountedView<V>;
 
+/// Capability: contiguous out-rows. `out_row(v)` returns v's
+/// out-neighbours as one span, in the order for_each_out_neighbor
+/// enumerates them. The top-down kernels (bfs/frontier.h's
+/// expand_piece) index into such rows, so a hub's row can be split
+/// across threads; views that decode or generate neighbours
+/// sequentially do not model this and have their rows walked whole.
+template <typename V>
+concept RowView = GraphView<V> && requires(const V& g, vid_t v) {
+  { g.out_row(v) } -> std::convertible_to<std::span<const vid_t>>;
+};
+
 /// Capability: representation-level software-prefetch hints, consumed
 /// by the kernels' PrefetchConfig path (bfs/mem_tuning.h). A view that
-/// models it promises:
-///   * prefetch_out_row(v) / prefetch_in_row(v) — pull the metadata and
-///     the head of v's adjacency row toward the cache, without reading
-///     any of it architecturally;
-///   * for_each_out_neighbor_ahead(v, d, pf, fn) — enumerate exactly
-///     like for_each_out_neighbor(v, fn), additionally calling `pf` on
-///     the neighbour `d` slots ahead of the one being visited (so the
-///     caller can prefetch per-neighbour side data such as the visited
-///     bitmap word). Views whose neighbours are decoded sequentially
-///     (CompressedCsrView) may legally skip the pf calls — the hint is
-///     advisory and must never change which `fn` calls happen.
-/// Implicit views (grid, n-puzzle) generate neighbours arithmetically —
-/// nothing to prefetch — and simply do not model this concept; the
-/// kernels' `if constexpr` guard compiles the hints out for them.
+/// models it promises that prefetch_out_row(v) / prefetch_in_row(v)
+/// pull the metadata and the head of v's adjacency row toward the
+/// cache, without reading any of it architecturally. Implicit views
+/// (grid, n-puzzle) generate neighbours arithmetically — nothing to
+/// prefetch — and simply do not model this concept; the kernels'
+/// `if constexpr` guard compiles the hints out for them.
 template <typename V>
-concept PrefetchableView =
-    GraphView<V> && requires(const V& g, vid_t v, int d,
-                             detail::NeighborSink pf, detail::NeighborSink out) {
-      g.prefetch_out_row(v);
-      g.prefetch_in_row(v);
-      g.for_each_out_neighbor_ahead(v, d, pf, out);
-    };
+concept PrefetchableView = GraphView<V> && requires(const V& g, vid_t v) {
+  g.prefetch_out_row(v);
+  g.prefetch_in_row(v);
+};
 
 /// Zero-overhead adapter presenting a CsrGraph through the GraphView
 /// concepts. Holds a pointer only; every accessor forwards to the
@@ -156,6 +157,11 @@ class CsrGraphView {
     for (const vid_t w : g_->out_neighbors(v)) fn(w);
   }
 
+  /// RowView: v's out-row, ascending.
+  [[nodiscard]] std::span<const vid_t> out_row(vid_t v) const noexcept {
+    return g_->out_neighbors(v);
+  }
+
   template <typename Fn>
   void for_each_in_neighbor(vid_t v, Fn&& fn) const {
     for (const vid_t u : g_->in_neighbors(v)) {
@@ -181,21 +187,6 @@ class CsrGraphView {
     __builtin_prefetch(g_->in_targets().data() + off, 0, 3);
   }
 
-  /// PrefetchableView: enumerate v's out-row, announcing the neighbour
-  /// `distance` slots ahead through `pf` so its visited word can be
-  /// prefetched before the dependent test_and_set reaches it.
-  template <typename Pf, typename Fn>
-  void for_each_out_neighbor_ahead(vid_t v, int distance, Pf&& pf,
-                                   Fn&& fn) const {
-    const std::span<const vid_t> row = g_->out_neighbors(v);
-    const auto d = static_cast<std::size_t>(distance);
-    const std::size_t len = row.size();
-    for (std::size_t j = 0; j < len; ++j) {
-      if (j + d < len) pf(row[j + d]);
-      fn(row[j]);
-    }
-  }
-
   /// The wrapped storage, for callers that need CSR-only features.
   [[nodiscard]] const CsrGraph& csr() const noexcept { return *g_; }
 
@@ -205,6 +196,7 @@ class CsrGraphView {
 
 static_assert(HybridView<CsrGraphView>);
 static_assert(EdgeQueryView<CsrGraphView>);
+static_assert(RowView<CsrGraphView>);
 static_assert(PrefetchableView<CsrGraphView>);
 // CsrGraph itself deliberately does not model GraphView (it exposes
 // spans, not enumerators); kernels keep exact-match CsrGraph overloads

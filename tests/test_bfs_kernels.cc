@@ -6,9 +6,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bfs/bottomup.h"
+#include "bfs/drivers.h"
 #include "bfs/frontier.h"
 #include "bfs/topdown.h"
 #include "core/hybrid_policy.h"
@@ -427,6 +430,270 @@ TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
     check(graph::CsrGraphView(directed),
           graph::sample_roots(directed, 1, 11)[0], "directed R-MAT");
     check(grid, graph::sample_view_roots(grid, 1, 11)[0], "grid");
+  }
+}
+
+// --- edge-balanced top-down levels ----------------------------------
+
+/// Runs `run` at 1, 2 and 4 threads and once from inside an enclosing
+/// parallel region (a nested 1-thread team), returning each result
+/// under a label.
+template <typename Run>
+auto at_every_team_size(Run&& run) {
+  using Result = decltype(run());
+  std::vector<std::pair<std::string, Result>> out;
+  const ThreadCountGuard guard;
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    out.emplace_back(std::to_string(threads) + " threads", run());
+  }
+  omp_set_num_threads(4);
+  const int saved_levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(1);
+  Result nested;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    nested = run();
+  }
+  omp_set_max_active_levels(saved_levels);
+  out.emplace_back("nested", std::move(nested));
+  return out;
+}
+
+/// Everything one top-down step leaves behind. The next queue is
+/// compared as a set: its order is the schedule's.
+struct TopDownRecord {
+  std::vector<eid_t> counters;  // stats, then carried |E|cq and reached
+  std::vector<std::uint64_t> visited;
+  std::vector<std::int32_t> level;
+  std::vector<vid_t> parent;
+  std::vector<vid_t> queue;
+};
+
+/// Steps top-down from `root` up to `steps` times, recording each step.
+template <typename V>
+std::vector<TopDownRecord> record_top_down(const V& g, vid_t root,
+                                           int steps) {
+  std::vector<TopDownRecord> out;
+  BfsState state(g.num_vertices(), root);
+  for (int k = 0; k < steps && !state.frontier_empty(); ++k) {
+    const TopDownStats s = top_down_step(g, state);
+    TopDownRecord r;
+    r.counters = {s.frontier_vertices, s.frontier_edges, s.next_vertices,
+                  state.frontier_edges, state.reached};
+    r.visited.assign(state.visited.words(),
+                     state.visited.words() + state.visited.word_count());
+    r.level = state.level;
+    r.parent = state.parent;
+    r.queue = state.frontier_queue;
+    std::sort(r.queue.begin(), r.queue.end());
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+void expect_same_steps(const std::vector<TopDownRecord>& want,
+                       const std::vector<TopDownRecord>& got,
+                       const std::string& run) {
+  ASSERT_EQ(want.size(), got.size()) << run;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].counters, got[i].counters) << run << " step " << i;
+    EXPECT_TRUE(want[i].visited == got[i].visited) << run << " step " << i;
+    EXPECT_TRUE(want[i].level == got[i].level) << run << " step " << i;
+    EXPECT_TRUE(want[i].parent == got[i].parent) << run << " step " << i;
+    EXPECT_EQ(want[i].queue, got[i].queue) << run << " step " << i;
+  }
+}
+
+TEST(TopDownBalance, SmallRmatFrontierWithHubRowsIsScheduleIndependent) {
+  const graph::CsrGraph csr = rmat(14);
+  const graph::CsrGraphView g(csr);
+  // A root whose level-1 frontier is under 64 vertices and holds a row
+  // longer than one piece: the shape the old per-vertex schedule ran
+  // on one thread.
+  vid_t root = kNoVertex;
+  for (vid_t r = 0; r < csr.num_vertices() && root == kNoVertex; ++r) {
+    const auto row = csr.out_neighbors(r);
+    if (row.empty() || row.size() >= 64) continue;
+    if (std::any_of(row.begin(), row.end(), [&csr, r](vid_t v) {
+          return v != r && csr.out_degree(v) > kPieceEdges;
+        })) {
+      root = r;
+    }
+  }
+  ASSERT_NE(root, kNoVertex) << "no hub-adjacent root at scale 14";
+
+  const auto runs =
+      at_every_team_size([&g, root] { return record_top_down(g, root, 3); });
+  const std::vector<TopDownRecord>& serial = runs.front().second;
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_LT(serial[1].counters[0], 64);            // |V|cq of level 1
+  EXPECT_GT(serial[1].counters[1], kPieceEdges);  // |E|cq of level 1
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    expect_same_steps(serial, runs[i].second, runs[i].first);
+  }
+}
+
+TEST(TopDownBalance, StarCentreRowSplitsIdenticallyOnEveryView) {
+  const vid_t n = 4 * static_cast<vid_t>(kPieceEdges) + 100;
+  const CsrGraph csr = build_csr(make_star(n));
+  ASSERT_GT(csr.out_degree(0), 4 * kPieceEdges);
+  const graph::CsrGraphView flat(csr);
+  const graph::CompressedCsrView compressed(csr);  // rows walked whole
+
+  // From the centre, level 0 is its row; from a spoke, level 1 is.
+  for (const vid_t root : {vid_t{0}, vid_t{1}}) {
+    const auto runs = at_every_team_size(
+        [&flat, root] { return record_top_down(flat, root, 3); });
+    const std::vector<TopDownRecord>& serial = runs.front().second;
+    const std::size_t hub_step = root == 0 ? 0 : 1;
+    ASSERT_GT(serial.size(), hub_step);
+    const TopDownRecord& hub = serial[hub_step];
+    EXPECT_EQ(hub.counters[0], 1) << root;
+    EXPECT_EQ(hub.counters[1], n - 1) << root;
+    EXPECT_EQ(hub.counters[2], root == 0 ? n - 1 : n - 2) << root;
+    for (vid_t v = 1; v < n; ++v) {
+      if (v != root) EXPECT_EQ(hub.parent[static_cast<std::size_t>(v)], 0);
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      expect_same_steps(serial, runs[i].second, runs[i].first);
+    }
+    const ThreadCountGuard guard;
+    omp_set_num_threads(4);
+    expect_same_steps(serial, record_top_down(compressed, root, 3),
+                      "CompressedCsrView");
+  }
+}
+
+TEST(TopDownBalance, PiecesCoverEveryWeightedEdgeOnce) {
+  const CsrGraph csr =
+      build_csr(make_star(3 * static_cast<vid_t>(kPieceEdges)));
+  const graph::CsrGraphView flat(csr);
+  const graph::CompressedCsrView compressed(csr);
+  // The centre's row spans three pieces; row 2 weighs nothing and must
+  // not be walked, even on a view that walks rows whole.
+  const std::vector<vid_t> rows = {1, 0, 7, 9};
+  const std::vector<eid_t> weight = {1, csr.out_degree(0), 0, 1};
+  std::vector<eid_t> offsets;
+  std::vector<BlockSpan> spans;
+  EXPECT_EQ(prefix_offsets(
+                rows.size(), [&weight](std::size_t i) { return weight[i]; },
+                offsets, spans),
+            2 + csr.out_degree(0));
+  ASSERT_EQ(offsets, (std::vector<eid_t>{0, 1, 1 + csr.out_degree(0),
+                                         1 + csr.out_degree(0),
+                                         2 + csr.out_degree(0)}));
+
+  std::vector<std::pair<std::size_t, vid_t>> want;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (weight[i] == 0) continue;
+    for (const vid_t w : csr.out_neighbors(rows[i])) want.emplace_back(i, w);
+  }
+  const auto walk = [&rows, &offsets](const auto& g, eid_t* longest) {
+    std::vector<std::pair<std::size_t, vid_t>> got;
+    for (std::int64_t p = 0; p < piece_count(offsets.back()); ++p) {
+      const std::size_t before = got.size();
+      expand_piece(g, rows, offsets.data(), p, 0,
+                   [&got](std::size_t i, vid_t w) { got.emplace_back(i, w); });
+      *longest = std::max(*longest, static_cast<eid_t>(got.size() - before));
+    }
+    return got;
+  };
+  eid_t longest_split = 0;
+  eid_t longest_whole = 0;
+  EXPECT_EQ(walk(flat, &longest_split), want);
+  EXPECT_EQ(walk(compressed, &longest_whole), want);
+  EXPECT_EQ(longest_split, kPieceEdges);  // the centre's row is cut
+  EXPECT_EQ(longest_whole, csr.out_degree(0) + 1);  // and here it is not
+}
+
+// --- the parent rule --------------------------------------------------
+
+/// The parent every single-source kernel returns: the smallest-id
+/// vertex one level up with an edge to v.
+template <typename V>
+std::vector<vid_t> canonical_parents(const V& g,
+                                     const std::vector<std::int32_t>& level,
+                                     vid_t root) {
+  std::vector<vid_t> want(level.size(), kNoVertex);
+  want[static_cast<std::size_t>(root)] = root;
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    const std::int32_t lu = level[static_cast<std::size_t>(u)];
+    if (lu < 0) continue;
+    g.for_each_out_neighbor(u, [&want, &level, lu, u](vid_t v) {
+      const auto vi = static_cast<std::size_t>(v);
+      // Ascending u: the first candidate is the smallest.
+      if (want[vi] == kNoVertex && level[vi] == lu + 1) want[vi] = u;
+    });
+  }
+  return want;
+}
+
+/// "" when the parent maps agree, else where they first differ.
+std::string parent_mismatch(const std::vector<vid_t>& got,
+                            const std::vector<vid_t>& want) {
+  if (got.size() != want.size()) return "sizes differ";
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin());
+  if (g == got.end()) return "";
+  return "parent of " + std::to_string(g - got.begin()) + " is " +
+         std::to_string(*g) + ", want " + std::to_string(*w);
+}
+
+TEST(CanonicalParents, EveryDriverReturnsTheSmallestParentOneLevelUp) {
+  graph::BuildOptions directed_opts;
+  directed_opts.symmetrize = false;
+  const ThreadCountGuard guard;
+  for (const bool symmetric : {true, false}) {
+    const auto csr = std::make_shared<const graph::CsrGraph>(
+        symmetric ? rmat(14) : rmat(14, directed_opts));
+    ASSERT_EQ(csr->is_symmetric(), symmetric);
+    const vid_t n = csr->num_vertices();
+    const graph::CsrGraphView flat(*csr);
+    const graph::CompressedCsrView compressed(*csr);
+    // Inserts (one growing the vertex set) and removals: a delta epoch
+    // whose patched rows differ from the base's.
+    const std::vector<graph::Edge> inserts = {
+        {1, 2}, {3, n + 2}, {n + 2, 5}, {11, 13}};
+    std::vector<graph::Edge> removes;
+    for (vid_t u = 0; u < n && removes.size() < 6; u += 41) {
+      if (csr->out_degree(u) > 0) {
+        removes.push_back({u, csr->out_neighbors(u)[0]});
+      }
+    }
+    const graph::DeltaCsr delta = graph::DeltaCsr::apply(
+        csr, nullptr, inserts, removes,
+        symmetric ? graph::BuildOptions{} : directed_opts);
+    const std::vector<vid_t> roots = graph::sample_roots(*csr, 2, 21);
+
+    const auto check = [&roots](const auto& g, const std::string& where) {
+      for (const vid_t root : roots) {
+        const BfsResult serial = run_serial(g, root);
+        const std::vector<vid_t> want =
+            canonical_parents(g, serial.level, root);
+        const auto expect = [&](const BfsResult& r, const char* driver) {
+          EXPECT_TRUE(r.level == serial.level)
+              << where << " " << driver << " root " << root;
+          EXPECT_EQ(parent_mismatch(r.parent, want), "")
+              << where << " " << driver << " root " << root;
+        };
+        expect(run_top_down(g, root), "top-down");
+        expect(run_bottom_up(g, root), "bottom-up");
+        BfsState hybrid = traverse_hybrid(
+            g, root, [](const BfsState&, Direction, const TopDownStats&,
+                        const BottomUpStats&) {});
+        expect(std::move(hybrid).take_result(g), "hybrid");
+      }
+    };
+    for (const int threads : {1, 4}) {
+      omp_set_num_threads(threads);
+      const std::string where =
+          std::string(symmetric ? "symmetric, " : "directed, ") +
+          std::to_string(threads) + " threads, ";
+      check(flat, where + "CsrGraphView");
+      check(compressed, where + "CompressedCsrView");
+      check(delta, where + "DeltaCsr");
+    }
   }
 }
 

@@ -279,7 +279,7 @@ TEST(DeltaCsr, ApplyValidatesItsInputs) {
 // Bit-equality of traversals: the delta overlay and the full rebuild
 // must be indistinguishable to every kernel — identical level maps,
 // identical per-level |V|cq / |E|cq / scanned / next counters, and
-// identical parents under one thread. Parameterised over thread count.
+// identical parents. Parameterised over thread count.
 // ---------------------------------------------------------------------
 
 void expect_bit_equal_traversals(const DeltaCsr& d, const CsrGraph& flat) {
@@ -318,10 +318,8 @@ void expect_bit_equal_traversals(const DeltaCsr& d, const CsrGraph& flat) {
       EXPECT_EQ(a.next_vertices, b.next_vertices) << root << "/" << i;
     }
 
-    if (omp_get_max_threads() == 1) {
-      EXPECT_EQ(d_td.parent, f_td.parent) << root;
-      EXPECT_EQ(d_bu.parent, f_bu.parent) << root;
-    }
+    EXPECT_EQ(d_td.parent, f_td.parent) << root;
+    EXPECT_EQ(d_bu.parent, f_bu.parent) << root;
     EXPECT_TRUE(bfs::validate_bfs(d, root, d_td).ok) << root;
   }
 }

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <vector>
 
 #include "bfs/drivers.h"
@@ -110,8 +108,8 @@ TEST(SampleViewRoots, RejectsIsolatedVerticesAndBadCounts) {
 /// The templated drivers instantiated on CsrGraphView and the CsrGraph
 /// overloads (which forward through the adapter) must produce identical
 /// per-level counters — |V|cq, |E|cq, BU scan counts, next — and
-/// identical level maps. Parents are compared only under one thread
-/// (parallel claims tie-break by schedule).
+/// identical level and parent maps at any team size (both directions
+/// choose parents by a schedule-independent rule).
 TEST(ViewKernels, CsrViaViewBitEqualsCsrOverloads) {
   const CsrGraph g = rmat10();
   const CsrGraphView view(g);
@@ -151,10 +149,8 @@ TEST(ViewKernels, CsrViaViewBitEqualsCsrOverloads) {
       EXPECT_EQ(a.next_vertices, b.next_vertices) << i;
     }
 
-    if (omp_get_max_threads() == 1) {
-      EXPECT_EQ(csr_td.parent, view_td.parent) << root;
-      EXPECT_EQ(csr_bu.parent, view_bu.parent) << root;
-    }
+    EXPECT_EQ(csr_td.parent, view_td.parent) << root;
+    EXPECT_EQ(csr_bu.parent, view_bu.parent) << root;
   }
 }
 

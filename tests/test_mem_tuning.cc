@@ -1,7 +1,8 @@
 // Tests for the memory-subsystem tuning knobs (bfs/mem_tuning.h):
 // prefetch and hub-cache result equality against the untuned kernels,
 // the scratch-reuse contract of the top-down step (no steady-state
-// allocation), and the bottom-up candidate list's right-sized reserve.
+// allocation, piece offsets included), and the bottom-up candidate
+// list's right-sized reserve.
 #include "bfs/mem_tuning.h"
 
 #include <gtest/gtest.h>
@@ -190,10 +191,12 @@ TEST(TopDownScratch, CapacityStableAcrossRepeatTraversals) {
   ASSERT_FALSE(state.td_local_next.empty());
   std::vector<std::size_t> part_caps;
   for (const auto& part : state.td_local_next) {
-    part_caps.push_back(part.capacity());
+    part_caps.push_back(part.items.capacity());
   }
   const std::size_t next_cap = state.td_next.capacity();
   const std::size_t queue_cap = state.frontier_queue.capacity();
+  const std::size_t offsets_cap = state.td_offsets.capacity();
+  ASSERT_GT(offsets_cap, 1u);
 
   // Steady state: a further traversal must not grow any buffer — zero
   // growth means zero steady-state allocation.
@@ -201,10 +204,11 @@ TEST(TopDownScratch, CapacityStableAcrossRepeatTraversals) {
   while (!state.frontier_empty()) top_down_step(view, state);
   ASSERT_EQ(state.td_local_next.size(), part_caps.size());
   for (std::size_t i = 0; i < part_caps.size(); ++i) {
-    EXPECT_EQ(state.td_local_next[i].capacity(), part_caps[i]) << i;
+    EXPECT_EQ(state.td_local_next[i].items.capacity(), part_caps[i]) << i;
   }
   EXPECT_EQ(state.td_next.capacity(), next_cap);
   EXPECT_EQ(state.frontier_queue.capacity(), queue_cap);
+  EXPECT_EQ(state.td_offsets.capacity(), offsets_cap);
 }
 
 TEST(TopDownScratch, ParallelRunsKeepTeamWidthAndResults) {
@@ -233,10 +237,15 @@ TEST(TopDownScratch, ResetClearsPartsButKeepsCapacity) {
   BfsState state(g.num_vertices(), graph::vid_t{0});
   while (!state.frontier_empty()) top_down_step(view, state);
   const std::size_t caps = state.td_next.capacity();
+  const std::size_t offsets_cap = state.td_offsets.capacity();
   state.reset(g.num_vertices(), graph::vid_t{1});
   EXPECT_TRUE(state.td_next.empty());
-  for (const auto& part : state.td_local_next) EXPECT_TRUE(part.empty());
+  EXPECT_TRUE(state.td_offsets.empty());
+  for (const auto& part : state.td_local_next) {
+    EXPECT_TRUE(part.items.empty());
+  }
   EXPECT_EQ(state.td_next.capacity(), caps);
+  EXPECT_EQ(state.td_offsets.capacity(), offsets_cap);
 }
 
 // --- bottom-up reserve (S2) -----------------------------------------

@@ -453,6 +453,58 @@ TEST(MsBfsRequest, RetiringLanesLeaveOtherLanesBitEqual) {
   EXPECT_GT(ms_bfs(g, roots).depth, 2);
 }
 
+#ifdef _OPENMP
+// The landmark build's batch: the 16 highest-degree vertices, whose
+// rows the top-down step splits over the team. Every level row, and the
+// union counters the direction rule saw, must not depend on the team
+// size.
+TEST(MsBfsRequest, HubRootedRowsMatchAtEveryTeamSize) {
+  const CsrGraph g = rmat(14);
+  const std::vector<vid_t> hubs = graph::top_out_degree_vertices(g, 16);
+  ASSERT_EQ(hubs.size(), 16u);
+  ASSERT_GT(g.out_degree(hubs.front()), kPieceEdges);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  struct Run {
+    std::vector<std::vector<std::int32_t>> rows;
+    std::vector<std::vector<graph::eid_t>> levels;
+  };
+  const auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    Run out;
+    out.rows.assign(hubs.size(), std::vector<std::int32_t>(n, 7));
+    MsBfsRequest req;
+    for (std::size_t l = 0; l < hubs.size(); ++l) {
+      req.lanes.push_back(row_lane(hubs[l], out.rows[l]));
+    }
+    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
+    for (const MsUnionLevel& k : ms.levels) {
+      out.levels.push_back({k.level, static_cast<graph::eid_t>(k.direction),
+                            k.frontier_vertices, k.frontier_edges,
+                            k.next_vertices});
+    }
+    return out;
+  };
+  const int saved = omp_get_max_threads();
+  const Run serial = run(1);
+  ASSERT_FALSE(serial.levels.empty());
+  EXPECT_EQ(serial.levels[0][1],
+            static_cast<graph::eid_t>(Direction::kTopDown));
+  for (std::size_t l = 0; l < hubs.size(); ++l) {
+    EXPECT_EQ(serial.rows[l], graph500::reference_bfs(g, hubs[l]).level)
+        << "row of hub " << hubs[l];
+  }
+  for (const int threads : {2, 4}) {
+    const Run parallel = run(threads);
+    EXPECT_EQ(parallel.levels, serial.levels) << threads << " threads";
+    for (std::size_t l = 0; l < hubs.size(); ++l) {
+      EXPECT_TRUE(parallel.rows[l] == serial.rows[l])
+          << threads << " threads, row of hub " << hubs[l];
+    }
+  }
+  omp_set_num_threads(saved);
+}
+#endif  // _OPENMP
+
 TEST(MsBfsRequest, IsolatedRootsAndPreAnsweredCells) {
   const CsrGraph g = rmat(10, 8, 3);
   const vid_t isolated = first_isolated(g);

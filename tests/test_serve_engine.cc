@@ -1,8 +1,8 @@
 // serve::QueryEngine: every served answer — batched, single-source,
 // cached, and post-insert — must be bit-equal to
 // graph500::reference_bfs on the pinned epoch's graph (levels exactly;
-// parent trees structurally, via validate_bfs, since parallel kernels
-// tie-break nondeterministically).
+// parent trees structurally, via validate_bfs, since MS-BFS top-down
+// levels tie-break by schedule).
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
