@@ -6,11 +6,6 @@ BottomUpStats bottom_up_step(const CsrGraph& g, BfsState& state) {
   return bottom_up_step(graph::CsrGraphView(g), state);
 }
 
-BottomUpStats bottom_up_step(const CsrGraph& g, BfsState& state,
-                             MemTuning tuning) {
-  return bottom_up_step(graph::CsrGraphView(g), state, tuning);
-}
-
 BottomUpStats bottom_up_probe(const CsrGraph& g, const BfsState& state) {
   return bottom_up_probe(graph::CsrGraphView(g), state);
 }

@@ -13,12 +13,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bfs/frontier.h"
-#include "bfs/hub_cache.h"
-#include "bfs/mem_tuning.h"
 #include "bfs/state.h"
 #include "check/contract.h"
 #include "graph/view.h"
@@ -44,13 +41,6 @@ struct BottomUpStats {
   /// expensive there (97% of GPUBU time in the paper's Table IV).
   eid_t edges_scanned_miss = 0;
   vid_t next_vertices = 0;
-  /// Hub-cache diagnostics (bfs/hub_cache.h); zero unless the tuning
-  /// knob is on. `hub_probes` counts candidates whose hub sub-row was
-  /// consulted, `hub_hits` those that found a frontier hub there and
-  /// skipped the full-width scan. The hit ratio is the cache's whole
-  /// value proposition — bench_mem reports it per level band.
-  vid_t hub_probes = 0;
-  vid_t hub_hits = 0;
 
   [[nodiscard]] eid_t edges_scanned() const noexcept {
     return edges_scanned_hit + edges_scanned_miss;
@@ -75,27 +65,12 @@ struct BottomUpStats {
 /// frontier's bitmap is cleared and recycled as the next scratch, and
 /// the discoveries' out-degrees are summed into state.frontier_edges,
 /// so no loop is serial in |V|, the candidate count or the frontier,
-/// and steady-state levels allocate nothing. With default tuning, all
-/// counters (|V|cq, unvisited, edges-scanned hit/miss, next) are
-/// bit-equal to the full-scan kernel's, and each parent is the first
-/// frontier in-neighbour in row order.
-///
-/// `tuning` (bfs/mem_tuning.h):
-///   * prefetch.distance d > 0 on a PrefetchableView prefetches the
-///     in-row of the candidate d slots ahead in the same block while
-///     this one scans — advisory only, discovery set and counters
-///     unchanged.
-///   * hub_cache non-null consults the candidate's hub sub-row against
-///     an L1-resident k-bit frontier snapshot before the full-width
-///     scan. The *discovered* set per level (hence every distance) is
-///     identical — a hub in-neighbour is an in-neighbour — but on a hub
-///     hit the parent is the first frontier hub (not the first frontier
-///     predecessor in row order) and edges_scanned_hit counts the hub
-///     ranks examined, so parent maps and scan counters may differ from
-///     the stock kernel's. Off by default; the golden trace pins the
-///     stock path.
+/// and steady-state levels allocate nothing. All counters (|V|cq,
+/// unvisited, edges-scanned hit/miss, next) are bit-equal to the
+/// full-scan kernel's, and each parent is the first frontier
+/// in-neighbour in row order.
 template <graph::TransposeView V>
-BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
+BottomUpStats bottom_up_step(const V& g, BfsState& state) {
   BottomUpStats stats;
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
 
@@ -106,25 +81,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
     state.unvisited_primed = true;
   }
 
-  const HubCache* hub = tuning.hub_cache;
-  if (hub != nullptr) {
-    BFSX_CHECK_EQ(hub->num_vertices(), g.num_vertices());
-    if (hub->num_hubs() == 0) {
-      hub = nullptr;  // degenerate cache: nothing to probe
-    } else {
-      // One O(k) snapshot per level, outside the parallel scan, so the
-      // k-bit map is immutable while threads read it. Per-state storage
-      // keeps concurrent traversals sharing one HubCache race-free.
-      hub->snapshot_frontier(state.frontier_bitmap, state.hub_bits);
-    }
-  }
-
-  std::size_t dist = 0;
-  if constexpr (graph::PrefetchableView<V>) {
-    if (tuning.prefetch.enabled()) {
-      dist = static_cast<std::size_t>(tuning.prefetch.distance);
-    }
-  }
   // Reused scratch; all-zero on entry (constructor + the clear at the
   // end of every step maintain the invariant). A dirty scratch silently
   // resurrects a previous frontier into this level's discoveries, so
@@ -147,14 +103,11 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   eid_t scanned_hit = 0;
   eid_t scanned_miss = 0;
   vid_t found = 0;
-  vid_t hub_probes = 0;
-  vid_t hub_hits = 0;
   eid_t next_edges = 0;
 
 #ifdef _OPENMP
 #pragma omp parallel if (nblocks > 1) \
-    reduction(+ : unvisited, scanned_hit, scanned_miss, found, hub_probes, \
-                  hub_hits, next_edges)
+    reduction(+ : unvisited, scanned_hit, scanned_miss, found, next_edges)
 #endif
   {
 #ifdef _OPENMP
@@ -170,63 +123,30 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
       std::size_t nfound = 0;
       for (std::size_t i = lo; i < hi; ++i) {
         const vid_t v = cand[i];
-        if constexpr (graph::PrefetchableView<V>) {
-          // Pull the in-row of the candidate `dist` slots ahead toward
-          // the cache while this one scans; advisory, never changes the
-          // scan. Stays inside the block, which no other thread writes.
-          if (dist > 0 && i + dist < hi) g.prefetch_in_row(cand[i + dist]);
-        }
         // Stragglers an interleaved top-down step visited since the
         // list was last compacted: dropped, and skipping them keeps
         // every counter equal to the full 0..n scan's.
         if (state.visited.test(static_cast<std::size_t>(v))) continue;
         ++unvisited;
+        // Algorithm 2 lines 9-12: scan predecessors, adopt the first
+        // one found in the current frontier, then stop (the callback
+        // returns false).
         vid_t from = kNoVertex;
-        if (hub != nullptr) {
-          // Probe the candidate's hub in-neighbours against the k-bit
-          // snapshot first: a hit resolves the whole scan from one or
-          // two L1 lines instead of a random walk over the |V|-bit
-          // frontier.
-          const std::span<const std::uint16_t> hrow = hub->hub_in_row(v);
-          if (!hrow.empty()) {
-            ++hub_probes;
-            eid_t hwalked = 0;
-            for (const std::uint16_t r : hrow) {
-              ++hwalked;
-              if (state.hub_bits.test(static_cast<std::size_t>(r))) {
-                from = hub->hub(r);
-                break;
-              }
-            }
-            if (from != kNoVertex) {
-              ++hub_hits;
-              scanned_hit += hwalked;
-            }
+        eid_t walked = 0;
+        g.for_each_in_neighbor(v, [&state, &walked, &from](vid_t u) {
+          ++walked;
+          if (!state.frontier_bitmap.test(static_cast<std::size_t>(u))) {
+            return true;
           }
-        }
+          from = u;
+          return false;
+        });
         if (from == kNoVertex) {
-          // Algorithm 2 lines 9-12: scan predecessors, adopt the first
-          // one found in the current frontier, then stop (the callback
-          // returns false).
-          eid_t walked = 0;
-          g.for_each_in_neighbor(v, [&state, &walked, &from](vid_t u) {
-            ++walked;
-            if (!state.frontier_bitmap.test(static_cast<std::size_t>(u))) {
-              return true;
-            }
-            from = u;
-            return false;
-          });
-          if (from != kNoVertex) {
-            scanned_hit += walked;
-          } else {
-            scanned_miss += walked;
-          }
-        }
-        if (from == kNoVertex) {
+          scanned_miss += walked;
           cand[kept++] = v;  // still unvisited: stays a candidate
           continue;
         }
+        scanned_hit += walked;
         state.parent[static_cast<std::size_t>(v)] = from;
         state.level[static_cast<std::size_t>(v)] = next_level;
         next.set_atomic(static_cast<std::size_t>(v));
@@ -252,8 +172,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   stats.edges_scanned_hit = scanned_hit;
   stats.edges_scanned_miss = scanned_miss;
   stats.next_vertices = found;
-  stats.hub_probes = hub_probes;
-  stats.hub_hits = hub_hits;
   state.reached += found;
   state.current_level = next_level;
   state.frontier_edges = next_edges;
@@ -269,13 +187,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   BFSX_PARANOID(BFSX_CHECK_EQ(state.frontier_edges,
                               frontier_out_edges(g, state.frontier_queue)));
   return stats;
-}
-
-/// Untuned entry point: default knobs, bit-identical to the historical
-/// kernel (the golden-trace test runs through here).
-template <graph::TransposeView V>
-BottomUpStats bottom_up_step(const V& g, BfsState& state) {
-  return bottom_up_step(g, state, MemTuning{});
 }
 
 /// Counting-only variant: computes exactly the statistics a bottom-up
@@ -368,8 +279,6 @@ template <graph::TransposeView V>
 
 /// CSR entry points: forward through the zero-overhead adapter.
 BottomUpStats bottom_up_step(const CsrGraph& g, BfsState& state);
-BottomUpStats bottom_up_step(const CsrGraph& g, BfsState& state,
-                             MemTuning tuning);
 [[nodiscard]] BottomUpStats bottom_up_probe(const CsrGraph& g,
                                             const BfsState& state);
 

@@ -234,13 +234,11 @@ graph::eid_t prefix_offsets(std::size_t count, Weight&& weight,
 /// exactly those edges, so a long row is split over several pieces;
 /// any other view has each row that starts inside the piece walked
 /// whole. Either way every edge of every weighted row falls in exactly
-/// one of the piece_count(offsets[rows.size()]) pieces. With
-/// prefetch = d > 0 on a PrefetchableView, each row also prefetches
-/// the row d places ahead.
+/// one of the piece_count(offsets[rows.size()]) pieces.
 template <graph::GraphView V, typename Visit>
 void expand_piece(const V& g, std::span<const graph::vid_t> rows,
                   const graph::eid_t* offsets, std::int64_t piece,
-                  std::size_t prefetch, Visit&& visit) {
+                  Visit&& visit) {
   const std::size_t count = rows.size();
   const graph::eid_t begin = piece * kPieceEdges;
   const graph::eid_t end = std::min(offsets[count], begin + kPieceEdges);
@@ -257,11 +255,6 @@ void expand_piece(const V& g, std::span<const graph::vid_t> rows,
   for (; i < count && offsets[i] < end; ++i) {
     if (offsets[i + 1] == offsets[i]) continue;  // empty or skipped row
     const graph::vid_t u = rows[i];
-    if constexpr (graph::PrefetchableView<V>) {
-      if (prefetch > 0 && i + prefetch < count) {
-        g.prefetch_out_row(rows[i + prefetch]);
-      }
-    }
     if constexpr (graph::RowView<V>) {
       const std::span<const graph::vid_t> row = g.out_row(u);
       const auto lo =

@@ -42,6 +42,7 @@
 #include "bfs/state.h"
 #include "check/contract.h"
 #include "graph/bitmap.h"
+#include "graph/uninit_vector.h"
 #include "graph/view.h"
 
 namespace bfsx::bfs {
@@ -193,8 +194,7 @@ void ms_top_down_step(const V& g, const std::vector<graph::vid_t>& active,
   const graph::eid_t* const offsets = s.offsets.data();
 #pragma omp parallel for schedule(dynamic, 1) if (pieces > 1)
   for (std::int64_t p = 0; p < pieces; ++p) {
-    expand_piece(g, active, offsets, p, 0, [&](std::size_t i,
-                                                graph::vid_t w) {
+    expand_piece(g, active, offsets, p, [&](std::size_t i, graph::vid_t w) {
       const auto wi = static_cast<std::size_t>(w);
       std::atomic_ref<std::uint64_t> seen_w(s.seen[wi]);
       // mem-order: relaxed — advisory pre-filter only; a stale load can
@@ -384,8 +384,8 @@ template <graph::HybridView V>
   // Primed lazily on the first bottom-up level, then compacted like the
   // single-source kernel's zero-rescan list, by the same ordered
   // parallel filter (bfs/frontier.h) staging through `spare`.
-  graph::numa::vector<vid_t> candidates;
-  graph::numa::vector<vid_t> spare;
+  graph::UninitVector<vid_t> candidates;
+  graph::UninitVector<vid_t> spare;
   bool candidates_primed = false;
   const auto unfinished = [&s](vid_t v) {
     return (s.seen[static_cast<std::size_t>(v)] & s.live) != s.live;

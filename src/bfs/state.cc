@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "check/contract.h"
-#include "graph/numa.h"
+#include "graph/uninit_vector.h"
 
 namespace bfsx::bfs {
 
@@ -12,15 +12,15 @@ void BfsState::reset(vid_t num_vertices, vid_t root) {
       << "BFS root " << root << " out of range [0, " << num_vertices << ")";
   const auto n = static_cast<std::size_t>(num_vertices);
   // Pool-reuse path: same-size maps are refilled with a thread-chunked
-  // fill (first-touch-friendly and parallel); the growth path keeps the
-  // plain assign, which must reallocate anyway.
+  // parallel fill; the growth path keeps the plain assign, which must
+  // reallocate anyway.
   if (parent.size() == n) {
-    graph::numa::parallel_fill(parent.data(), n, kNoVertex);
+    graph::parallel_fill(parent.data(), n, kNoVertex);
   } else {
     parent.assign(n, kNoVertex);
   }
   if (level.size() == n) {
-    graph::numa::parallel_fill(level.data(), n, std::int32_t{-1});
+    graph::parallel_fill(level.data(), n, std::int32_t{-1});
   } else {
     level.assign(n, -1);
   }

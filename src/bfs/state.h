@@ -9,8 +9,8 @@
 #include "check/report.h"
 #include "graph/bitmap.h"
 #include "graph/csr.h"
-#include "graph/numa.h"
 #include "graph/types.h"
+#include "graph/uninit_vector.h"
 
 namespace bfsx::bfs {
 
@@ -93,8 +93,8 @@ struct BfsState {
   /// skipped via the visited test, so the kernel counters are identical
   /// to a full scan's. Default-initialising storage: every slot is
   /// written by the decode or the compaction before it is read.
-  graph::numa::vector<vid_t> unvisited;
-  graph::numa::vector<vid_t> unvisited_spare;
+  graph::UninitVector<vid_t> unvisited;
+  graph::UninitVector<vid_t> unvisited_spare;
   bool unvisited_primed = false;
   /// Per-block tallies of the blocked passes (bfs/frontier.h): the
   /// bottom-up prime decode and compaction, and the top-down prefix.
@@ -125,13 +125,6 @@ struct BfsState {
   std::vector<eid_t> td_offsets;
   std::vector<Discoveries> td_local_next;
   std::vector<vid_t> td_next;
-
-  /// Hub-cache frontier snapshot (bfs/hub_cache.h): bit r set iff hub
-  /// rank r is in the current frontier. Rebuilt O(k) per bottom-up
-  /// level by HubCache::snapshot_frontier; per-state so concurrent
-  /// traversals sharing one immutable HubCache never race. Empty unless
-  /// the hub-cache tuning knob is on.
-  Bitmap hub_bits;
 
   std::int32_t current_level = 0;
   vid_t reached = 1;

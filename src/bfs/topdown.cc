@@ -6,9 +6,4 @@ TopDownStats top_down_step(const CsrGraph& g, BfsState& state) {
   return top_down_step(graph::CsrGraphView(g), state);
 }
 
-TopDownStats top_down_step(const CsrGraph& g, BfsState& state,
-                           MemTuning tuning) {
-  return top_down_step(graph::CsrGraphView(g), state, tuning);
-}
-
 }  // namespace bfsx::bfs

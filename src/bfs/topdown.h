@@ -29,7 +29,7 @@
 // (td_offsets / td_local_next / td_next), so steady-state levels
 // perform no allocation — the buffers reach their high-water capacity
 // after the widest level and are recycled by the queue-swap at the end
-// of each step (test_mem_tuning pins this).
+// of each step (test_bfs_kernels' TopDownScratch cases pin this).
 #pragma once
 
 #include <algorithm>
@@ -43,7 +43,6 @@
 #endif
 
 #include "bfs/frontier.h"
-#include "bfs/mem_tuning.h"
 #include "bfs/state.h"
 #include "check/contract.h"
 #include "graph/view.h"
@@ -97,17 +96,11 @@ inline void lower_parent(vid_t& slot, vid_t u) noexcept {
 /// identical for every team size, nested 1-thread teams included; the
 /// order of the next queue is the schedule's.
 ///
-/// `tuning.prefetch` (bfs/mem_tuning.h): with distance d > 0 and a
-/// PrefetchableView, each row prefetches the adjacency row of the
-/// frontier vertex d places ahead. d == 0 (the default) issues no hint;
-/// non-prefetchable views compile the hints out entirely. Prefetching
-/// never changes what is discovered.
-///
 /// On return the state's frontier (queue + bitmap), visited set, parent
 /// and level maps, carried |E|cq, current_level, and reached count are
 /// all updated.
 template <graph::GraphView V>
-TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
+TopDownStats top_down_step(const V& g, BfsState& state) {
   TopDownStats stats;
   const std::vector<vid_t>& queue = state.frontier_queue;
   const std::size_t count = queue.size();
@@ -136,13 +129,6 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
   Bitmap& claimed = state.frontier_bitmap;
   claimed.reset();
 
-  std::size_t dist = 0;
-  if constexpr (graph::PrefetchableView<V>) {
-    if (tuning.prefetch.enabled()) {
-      dist = static_cast<std::size_t>(tuning.prefetch.distance);
-    }
-  }
-
   // The out-degrees of the vertices this level discovers: the next
   // frontier's |E|cq.
   eid_t next_edges = 0;
@@ -166,7 +152,7 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
 #pragma omp for schedule(dynamic, 1)
 #endif
     for (std::int64_t p = 0; p < pieces; ++p) {
-      expand_piece(g, queue, offsets, p, dist,
+      expand_piece(g, queue, offsets, p,
                    [&g, &state, &queue, &claimed, &mine, &next_edges,
                     next_level](std::size_t i, vid_t v) {
                      const auto vi = static_cast<std::size_t>(v);
@@ -227,16 +213,7 @@ TopDownStats top_down_step(const V& g, BfsState& state, MemTuning tuning) {
   return stats;
 }
 
-/// Untuned entry point: default knobs (the golden-trace test runs
-/// through here).
-template <graph::GraphView V>
-TopDownStats top_down_step(const V& g, BfsState& state) {
-  return top_down_step(g, state, MemTuning{});
-}
-
-/// CSR entry points: forward through the zero-overhead adapter.
+/// CSR entry point: forwards through the zero-overhead adapter.
 TopDownStats top_down_step(const CsrGraph& g, BfsState& state);
-TopDownStats top_down_step(const CsrGraph& g, BfsState& state,
-                           MemTuning tuning);
 
 }  // namespace bfsx::bfs

@@ -14,21 +14,20 @@ constexpr std::int64_t kParallelWords = 4096;
 }  // namespace
 
 Bitmap::Bitmap(std::size_t size) : size_(size) {
-  words_.resize((size + 63) / 64);  // default-init: no touch yet
-  numa::parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
+  words_.resize((size + 63) / 64);  // default-init: writes nothing
+  parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
 }
 
 void Bitmap::reset() noexcept {
-  numa::parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
+  parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
 }
 
 void Bitmap::resize_and_reset(std::size_t size) {
   size_ = size;
   // resize leaves new words indeterminate (DefaultInitAllocator); the
-  // parallel zero-fill below is the first touch, chunked like the
-  // kernels' scans so pages land near their readers.
+  // parallel zero-fill below is their only write.
   words_.resize((size + 63) / 64);
-  numa::parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
+  parallel_fill(words_.data(), words_.size(), std::uint64_t{0});
 }
 
 void Bitmap::set_atomic(std::size_t pos) noexcept {

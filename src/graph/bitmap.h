@@ -11,8 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "graph/numa.h"
 #include "graph/types.h"
+#include "graph/uninit_vector.h"
 
 namespace bfsx::graph {
 
@@ -122,11 +122,9 @@ class Bitmap {
   }
 
  private:
-  /// First-touch storage: resize_and_reset grows without writing, then
-  /// zeroes through numa::parallel_fill, so on multi-node machines the
-  /// visited/frontier words land on the nodes of the threads that scan
-  /// them (single-node: identical behaviour, plain fill).
-  numa::vector<std::uint64_t> words_;
+  /// resize_and_reset grows without writing, then zeroes through
+  /// parallel_fill, so each word is written once.
+  UninitVector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };
 

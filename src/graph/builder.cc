@@ -61,10 +61,8 @@ CsrArrays pack(vid_t n, const std::vector<Edge>& edges, bool by_src,
   const int workers = worker_count(m);
 
   EidArray offsets(nu + 1, 0);
-  // Allocated untouched (DefaultInitAllocator): the blocked scatter
-  // below performs the first write to every element, so on multi-node
-  // machines each page lands on the NUMA node of the worker that owns
-  // that edge chunk (first-touch placement; graph/numa.h).
+  // Allocated unwritten (DefaultInitAllocator, graph/uninit_vector.h):
+  // the blocked scatter below performs the only write to every element.
   VidArray targets(m);
   // hist[t][v]: first the number of key-v edges in chunk t, then (after
   // the merge) the number of key-v edges in chunks before t — worker
@@ -141,7 +139,7 @@ CsrArrays pack(vid_t n, const std::vector<Edge>& edges, bool by_src,
       // Dedup removed something: compact rows into a fresh array (rows
       // move left by varying amounts, so in-place compaction would
       // serialise; a parallel copy into disjoint destinations does not).
-      // First touch happens in the parallel row copy below.
+      // Unwritten until the parallel row copy below.
       VidArray packed(total);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads(workers)

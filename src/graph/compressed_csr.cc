@@ -12,8 +12,8 @@ namespace {
 /// Size pass + encode pass over one adjacency side. Two-phase like the
 /// parallel CSR builder: per-row byte counts, one prefix sum, then each
 /// row encodes at its exact byte offset — output is bit-identical for
-/// any thread count, and the parallel encode is the first touch of the
-/// byte stream (numa first-touch placement for free).
+/// any thread count, and the parallel encode is the only write to the
+/// byte stream.
 detail::CompressedAdjacency compress_side(const EidArray& offsets,
                                           const VidArray& targets) {
   detail::CompressedAdjacency adj;

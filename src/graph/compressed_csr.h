@@ -8,18 +8,20 @@
 // edges shrink from 4 bytes to 1-2 — so the traversal working set
 // drops well below the raw targets array and the bottom-up scan
 // touches fewer cache lines per candidate. The cost is a sequential
-// decode per row, which is why this is a *view* choice measured by
-// bench_mem / bench_graphview rather than the default representation.
+// decode per row: on a 4-vCPU Xeon a scale-18 hybrid traversal ran at
+// 1.06x/0.92x/0.98x the flat CSR's speed at 1/2/4 threads. It is a
+// footprint option (bfsx bfs --compress), not the default
+// representation.
 //
 // Capability tiers modelled (graph/view.h): HybridView (both-direction
 // enumeration + exact edge count, i.e. everything the M/N drivers
-// need) and PrefetchableView (row prefetch hints). It does not model
-// RowView: decoded values only exist sequentially, so the top-down
-// kernels walk each of its rows whole. has_edge is deliberately not
-// provided — a membership probe would decode the whole row, and the
-// validator's linear fallback does exactly that anyway.
+// need). It does not model RowView: decoded values only exist
+// sequentially, so the top-down kernels walk each of its rows whole.
+// has_edge is deliberately not provided — a membership probe would
+// decode the whole row, and the validator's linear fallback does
+// exactly that anyway.
 //
-// DESIGN.md §12.3 documents the format; test_compressed_csr holds the
+// DESIGN.md §12.1 documents the format; test_compressed_csr holds the
 // view to bit-equal traversals against CsrGraphView.
 #pragma once
 
@@ -29,8 +31,8 @@
 #include <utility>
 
 #include "graph/csr.h"
-#include "graph/numa.h"
 #include "graph/types.h"
+#include "graph/uninit_vector.h"
 #include "graph/view.h"
 
 namespace bfsx::graph {
@@ -81,8 +83,8 @@ inline const std::uint8_t* varint_decode(const std::uint8_t* in,
 /// cost 8 bytes/vertex, a rounding error next to the edge payload.
 struct CompressedAdjacency {
   EidArray offsets;                   // n + 1, element counts (from CSR)
-  numa::vector<std::uint64_t> byte_offsets;  // n + 1, into bytes
-  numa::vector<std::uint8_t> bytes;   // delta/varint streams, row-major
+  UninitVector<std::uint64_t> byte_offsets;  // n + 1, into bytes
+  UninitVector<std::uint8_t> bytes;   // delta/varint streams, row-major
 
   [[nodiscard]] eid_t degree(std::size_t v) const noexcept {
     return offsets[v + 1] - offsets[v];
@@ -142,21 +144,6 @@ class CompressedCsrView {
     in_side().decode_row(static_cast<std::size_t>(v), std::forward<Fn>(fn));
   }
 
-  /// PrefetchableView: pull the byte-offset entry and the head of the
-  /// row's varint stream toward the cache.
-  void prefetch_out_row(vid_t v) const noexcept {
-    const auto u = static_cast<std::size_t>(v);
-    __builtin_prefetch(out_.byte_offsets.data() + u + 1, 0, 3);
-    __builtin_prefetch(out_.bytes.data() + out_.byte_offsets[u], 0, 3);
-  }
-
-  void prefetch_in_row(vid_t v) const noexcept {
-    const auto u = static_cast<std::size_t>(v);
-    const detail::CompressedAdjacency& in = in_side();
-    __builtin_prefetch(in.byte_offsets.data() + u + 1, 0, 3);
-    __builtin_prefetch(in.bytes.data() + in.byte_offsets[u], 0, 3);
-  }
-
   /// Compressed payload bytes (both directions; excludes offsets).
   [[nodiscard]] std::size_t compressed_bytes() const noexcept {
     return out_.bytes.size() + (symmetric_ ? 0 : in_.bytes.size());
@@ -188,7 +175,6 @@ class CompressedCsrView {
 };
 
 static_assert(HybridView<CompressedCsrView>);
-static_assert(PrefetchableView<CompressedCsrView>);
 static_assert(!RowView<CompressedCsrView>);
 
 }  // namespace bfsx::graph

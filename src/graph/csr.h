@@ -12,17 +12,17 @@
 #include <vector>
 
 #include "check/report.h"
-#include "graph/numa.h"
 #include "graph/types.h"
+#include "graph/uninit_vector.h"
 
 namespace bfsx::graph {
 
-/// CSR adjacency array types. numa::vector so the parallel builder's
-/// blocked scatter performs the first touch (pages land on the nodes of
-/// the threads that later traverse those rows); interchangeable with
-/// std::vector everywhere except the allocator parameter.
-using EidArray = numa::vector<eid_t>;
-using VidArray = numa::vector<vid_t>;
+/// CSR adjacency array types. UninitVector so sizing the targets array
+/// writes nothing and the parallel builder's blocked scatter is the
+/// only pass over it; interchangeable with std::vector everywhere
+/// except the allocator parameter.
+using EidArray = UninitVector<eid_t>;
+using VidArray = UninitVector<vid_t>;
 
 class CsrGraph {
  public:

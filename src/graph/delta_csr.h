@@ -22,9 +22,7 @@
 // M/N hybrid drivers, the Graph 500 validator, and the bit-parallel
 // MS-BFS — traverses a delta epoch unchanged, and traversals are
 // bit-equal to the same kernels over the fully rebuilt CSR
-// (test_delta_csr holds it to that). It deliberately does not model
-// PrefetchableView: the per-row indirection already costs a branch, and
-// delta epochs are short-lived by policy.
+// (test_delta_csr holds it to that).
 //
 // Deltas never chain: every DeltaCsr overlays a *flat* base, and
 // applying a new batch on top of an existing delta copies the live
@@ -167,6 +165,5 @@ class DeltaCsr {
 static_assert(HybridView<DeltaCsr>);
 static_assert(EdgeQueryView<DeltaCsr>);
 static_assert(RowView<DeltaCsr>);
-static_assert(!PrefetchableView<DeltaCsr>);
 
 }  // namespace bfsx::graph

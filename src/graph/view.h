@@ -111,20 +111,6 @@ concept RowView = GraphView<V> && requires(const V& g, vid_t v) {
   { g.out_row(v) } -> std::convertible_to<std::span<const vid_t>>;
 };
 
-/// Capability: representation-level software-prefetch hints, consumed
-/// by the kernels' PrefetchConfig path (bfs/mem_tuning.h). A view that
-/// models it promises that prefetch_out_row(v) / prefetch_in_row(v)
-/// pull the metadata and the head of v's adjacency row toward the
-/// cache, without reading any of it architecturally. Implicit views
-/// (grid, n-puzzle) generate neighbours arithmetically — nothing to
-/// prefetch — and simply do not model this concept; the kernels'
-/// `if constexpr` guard compiles the hints out for them.
-template <typename V>
-concept PrefetchableView = GraphView<V> && requires(const V& g, vid_t v) {
-  g.prefetch_out_row(v);
-  g.prefetch_in_row(v);
-};
-
 /// Zero-overhead adapter presenting a CsrGraph through the GraphView
 /// concepts. Holds a pointer only; every accessor forwards to the
 /// inline CSR methods, so kernels instantiated for CsrGraphView compile
@@ -169,24 +155,6 @@ class CsrGraphView {
     }
   }
 
-  /// PrefetchableView: pull v's out-row metadata and head toward the
-  /// cache. The offsets array is ~1/edgefactor the size of targets and
-  /// usually cache-resident, so reading offsets[v] here to form the
-  /// targets address rarely stalls; both prefetches are non-binding.
-  void prefetch_out_row(vid_t v) const noexcept {
-    const auto u = static_cast<std::size_t>(v);
-    const eid_t off = g_->out_offsets()[u];
-    __builtin_prefetch(g_->out_offsets().data() + u + 1, 0, 3);
-    __builtin_prefetch(g_->out_targets().data() + off, 0, 3);
-  }
-
-  void prefetch_in_row(vid_t v) const noexcept {
-    const auto u = static_cast<std::size_t>(v);
-    const eid_t off = g_->in_offsets()[u];
-    __builtin_prefetch(g_->in_offsets().data() + u + 1, 0, 3);
-    __builtin_prefetch(g_->in_targets().data() + off, 0, 3);
-  }
-
   /// The wrapped storage, for callers that need CSR-only features.
   [[nodiscard]] const CsrGraph& csr() const noexcept { return *g_; }
 
@@ -197,7 +165,6 @@ class CsrGraphView {
 static_assert(HybridView<CsrGraphView>);
 static_assert(EdgeQueryView<CsrGraphView>);
 static_assert(RowView<CsrGraphView>);
-static_assert(PrefetchableView<CsrGraphView>);
 // CsrGraph itself deliberately does not model GraphView (it exposes
 // spans, not enumerators); kernels keep exact-match CsrGraph overloads
 // that forward through the adapter.

@@ -209,7 +209,7 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
       {"native-td", "pure top-down on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_top_down_engine(cfg.sink, cfg.pool,
-                                            {cfg.tuning, cfg.compressed});
+                                            cfg.compressed);
        },
        {},
        [](const EngineConfig& cfg) {
@@ -219,7 +219,7 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
       {"native-bu", "pure bottom-up on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_bottom_up_engine(cfg.sink, cfg.pool,
-                                             {cfg.tuning, cfg.compressed});
+                                             cfg.compressed);
        },
        {},
        [](const EngineConfig& cfg) {
@@ -229,7 +229,7 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
       {"native-hybrid", "M/N combination on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_hybrid_engine(cfg.policy, cfg.sink, cfg.pool,
-                                          {cfg.tuning, cfg.compressed});
+                                          cfg.compressed);
        },
        {},
        [](const EngineConfig& cfg) {

@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bfs/mem_tuning.h"
 #include "bfs/state_pool.h"
 #include "core/hybrid_policy.h"
 #include "graph/partition.h"
@@ -61,10 +60,6 @@ struct EngineConfig {
   /// off the hot path. Simulated engines ignore it (their state is
   /// modelled, not real).
   bfs::StatePool* pool = nullptr;
-  /// Memory-subsystem knobs for the native engines (--prefetch,
-  /// --hub-cache); everything else ignores them. A referenced HubCache
-  /// is non-owning and must outlive the constructed engine.
-  bfs::MemTuning tuning{};
   /// Non-null routes the native engines through the compressed
   /// adjacency view (--compress). Non-owning; must outlive the engine
   /// and be built from the graph the engine traverses.

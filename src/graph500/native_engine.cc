@@ -15,72 +15,62 @@ using detail::step_bottom_up;
 using detail::step_top_down;
 using detail::traced_traversal;
 
-BfsEngine make_native_top_down_engine(obs::TraceSink* sink,
-                                      bfs::StatePool* pool,
-                                      NativeOptions options) {
-  return [sink, pool, options](const graph::CsrGraph& g, graph::vid_t root) {
-    // --compress: the same templated level loop, instantiated for the
-    // compressed view; results are identical because the kernels only
-    // see the GraphView surface.
-    if (options.compressed != nullptr) {
-      const graph::CompressedCsrView& cg = *options.compressed;
-      return traced_traversal(cg, root, "native-td", sink, pool,
-                              [&cg, &options](bfs::BfsState& s,
-                                              obs::LevelEvent* e) {
-                                step_top_down(cg, s, e, options.tuning);
-                              });
-    }
-    return traced_traversal(g, root, "native-td", sink, pool,
-                            [&g, &options](bfs::BfsState& s,
-                                           obs::LevelEvent* e) {
-                              step_top_down(g, s, e, options.tuning);
-                            });
+namespace {
+
+/// The one place a native engine picks its representation: each call
+/// runs `step(view, state, event)` level by level over `*compressed`
+/// when one is given, else over the CsrGraph the engine is called
+/// with. Either way the same templated kernels run, so the results are
+/// identical.
+template <typename Step>
+BfsEngine native_engine(const char* name, obs::TraceSink* sink,
+                        bfs::StatePool* pool,
+                        const graph::CompressedCsrView* compressed,
+                        Step step) {
+  return [name, sink, pool, compressed, step](const graph::CsrGraph& g,
+                                              graph::vid_t root) {
+    const auto run = [&](const auto& view) {
+      return traced_traversal(
+          view, root, name, sink, pool,
+          [&view, &step](bfs::BfsState& s, obs::LevelEvent* e) {
+            step(view, s, e);
+          });
+    };
+    return compressed != nullptr ? run(*compressed) : run(g);
   };
 }
 
-BfsEngine make_native_bottom_up_engine(obs::TraceSink* sink,
-                                       bfs::StatePool* pool,
-                                       NativeOptions options) {
-  return [sink, pool, options](const graph::CsrGraph& g, graph::vid_t root) {
-    if (options.compressed != nullptr) {
-      const graph::CompressedCsrView& cg = *options.compressed;
-      return traced_traversal(cg, root, "native-bu", sink, pool,
-                              [&cg, &options](bfs::BfsState& s,
-                                              obs::LevelEvent* e) {
-                                step_bottom_up(cg, s, e, options.tuning);
-                              });
-    }
-    return traced_traversal(g, root, "native-bu", sink, pool,
-                            [&g, &options](bfs::BfsState& s,
-                                           obs::LevelEvent* e) {
-                              step_bottom_up(g, s, e, options.tuning);
-                            });
-  };
+}  // namespace
+
+BfsEngine make_native_top_down_engine(
+    obs::TraceSink* sink, bfs::StatePool* pool,
+    const graph::CompressedCsrView* compressed) {
+  return native_engine(
+      "native-td", sink, pool, compressed,
+      [](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
+        step_top_down(g, s, e);
+      });
 }
 
-BfsEngine make_native_hybrid_engine(core::HybridPolicy policy,
-                                    obs::TraceSink* sink,
-                                    bfs::StatePool* pool,
-                                    NativeOptions options) {
+BfsEngine make_native_bottom_up_engine(
+    obs::TraceSink* sink, bfs::StatePool* pool,
+    const graph::CompressedCsrView* compressed) {
+  return native_engine(
+      "native-bu", sink, pool, compressed,
+      [](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
+        step_bottom_up(g, s, e);
+      });
+}
+
+BfsEngine make_native_hybrid_engine(
+    core::HybridPolicy policy, obs::TraceSink* sink, bfs::StatePool* pool,
+    const graph::CompressedCsrView* compressed) {
   policy.validate();
-  return [policy, sink, pool, options](const graph::CsrGraph& g,
-                                       graph::vid_t root) {
-    if (options.compressed != nullptr) {
-      const graph::CompressedCsrView& cg = *options.compressed;
-      return traced_traversal(cg, root, "native-hybrid", sink, pool,
-                              [&cg, &policy, &options](bfs::BfsState& s,
-                                                       obs::LevelEvent* e) {
-                                detail::step_hybrid(cg, policy, s, e,
-                                                    options.tuning);
-                              });
-    }
-    return traced_traversal(g, root, "native-hybrid", sink, pool,
-                            [&g, &policy, &options](bfs::BfsState& s,
-                                                    obs::LevelEvent* e) {
-                              detail::step_hybrid(g, policy, s, e,
-                                                  options.tuning);
-                            });
-  };
+  return native_engine(
+      "native-hybrid", sink, pool, compressed,
+      [policy](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
+        detail::step_hybrid(g, policy, s, e);
+      });
 }
 
 BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,

@@ -10,12 +10,15 @@
 // All three single-source factories optionally draw their BfsState from
 // a bfs::StatePool (non-owning; must outlive the engine): under
 // batch_mode=parallel_roots each worker recycles a state instead of
-// reallocating per root. The msbfs factory returns a BatchBfsEngine
+// reallocating per root. They also optionally traverse a
+// graph::CompressedCsrView instead of the CSR they are called with
+// (--compress): non-owning, it must outlive the engine and be built
+// from that same CsrGraph. Same templated kernels, same results, a
+// smaller adjacency. The msbfs factory returns a BatchBfsEngine
 // wrapping the bit-parallel kernel — its state is the per-batch lane
 // masks, sized once per batch, so it takes no pool.
 #pragma once
 
-#include "bfs/mem_tuning.h"
 #include "bfs/state_pool.h"
 #include "core/hybrid_policy.h"
 #include "graph/compressed_csr.h"
@@ -24,39 +27,25 @@
 
 namespace bfsx::graph500 {
 
-/// Memory-subsystem knobs for the native engines (all default-off; the
-/// default NativeOptions{} yields the historical engines exactly).
-struct NativeOptions {
-  /// Prefetch distance and hub cache, forwarded to every level step.
-  /// A referenced HubCache is non-owning and must outlive the engine
-  /// (it is immutable and shared safely across parallel-roots workers).
-  bfs::MemTuning tuning{};
-  /// Non-null routes traversals through the delta/varint-compressed
-  /// adjacency (graph/compressed_csr.h) instead of the raw CSR arrays —
-  /// same templated kernels, same results, smaller edge working set.
-  /// Non-owning; must outlive the engine and must be built from the
-  /// same CsrGraph the engine is invoked with.
-  const graph::CompressedCsrView* compressed = nullptr;
-};
-
 /// Pure top-down, wall-clock timed. `sink` (optional, non-owning, must
 /// outlive the engine) observes every traversal as engine "native-td"
 /// with real per-level seconds.
 [[nodiscard]] BfsEngine make_native_top_down_engine(
     obs::TraceSink* sink = nullptr, bfs::StatePool* pool = nullptr,
-    NativeOptions options = {});
+    const graph::CompressedCsrView* compressed = nullptr);
 
 /// Pure bottom-up, wall-clock timed. Traced as "native-bu".
 [[nodiscard]] BfsEngine make_native_bottom_up_engine(
     obs::TraceSink* sink = nullptr, bfs::StatePool* pool = nullptr,
-    NativeOptions options = {});
+    const graph::CompressedCsrView* compressed = nullptr);
 
 /// The M/N combination, wall-clock timed. `policy` is evaluated against
 /// the real frontier statistics every level, exactly like the simulated
 /// executor. Traced as "native-hybrid".
 [[nodiscard]] BfsEngine make_native_hybrid_engine(
     core::HybridPolicy policy, obs::TraceSink* sink = nullptr,
-    bfs::StatePool* pool = nullptr, NativeOptions options = {});
+    bfs::StatePool* pool = nullptr,
+    const graph::CompressedCsrView* compressed = nullptr);
 
 /// Bit-parallel multi-source BFS (bfs::ms_bfs), wall-clock timed per
 /// batch. `policy`'s M/N knobs steer the union-frontier direction

@@ -78,30 +78,26 @@ TimedBfs traced_traversal(const G& g, graph::vid_t root, const char* engine,
   return timed;
 }
 
-/// The trailing `tuning` parameter on every step helper defaults to the
-/// inert MemTuning{} (bfs/mem_tuning.h), so existing call sites run the
-/// historical code path untouched; the native engines forward the knobs
-/// from NativeOptions.
+/// One top-down level; with an event, its counters are recorded.
 template <typename G>
-void step_top_down(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
-                   bfs::MemTuning tuning = {}) {
+void step_top_down(const G& g, bfs::BfsState& s, obs::LevelEvent* e) {
   if (e == nullptr) {
-    bfs::top_down_step(g, s, tuning);
+    bfs::top_down_step(g, s);
     return;
   }
   e->level = s.current_level;
   e->direction = bfs::Direction::kTopDown;
-  const bfs::TopDownStats stats = bfs::top_down_step(g, s, tuning);
+  const bfs::TopDownStats stats = bfs::top_down_step(g, s);
   e->frontier_vertices = stats.frontier_vertices;
   e->frontier_edges = stats.frontier_edges;
   e->next_vertices = stats.next_vertices;
 }
 
+/// One bottom-up level; with an event, its counters are recorded.
 template <typename G>
-void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
-                    bfs::MemTuning tuning = {}) {
+void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e) {
   if (e == nullptr) {
-    bfs::bottom_up_step(g, s, tuning);
+    bfs::bottom_up_step(g, s);
     return;
   }
   e->level = s.current_level;
@@ -110,7 +106,7 @@ void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
   // this frontier carried it, so traces from every engine family hold
   // the same per-level counters.
   e->frontier_edges = s.frontier_out_edges(g);
-  const bfs::BottomUpStats stats = bfs::bottom_up_step(g, s, tuning);
+  const bfs::BottomUpStats stats = bfs::bottom_up_step(g, s);
   e->frontier_vertices = stats.frontier_vertices;
   e->bu_edges_hit = stats.edges_scanned_hit;
   e->bu_edges_miss = stats.edges_scanned_miss;
@@ -122,15 +118,14 @@ void step_bottom_up(const G& g, bfs::BfsState& s, obs::LevelEvent* e,
 /// chosen direction. |E|cq is the value the previous step carried.
 template <typename G>
 void step_hybrid(const G& g, const core::HybridPolicy& policy,
-                 bfs::BfsState& s, obs::LevelEvent* e,
-                 bfs::MemTuning tuning = {}) {
+                 bfs::BfsState& s, obs::LevelEvent* e) {
   const graph::eid_t e_cq = s.frontier_out_edges(g);
   const auto v_cq = static_cast<graph::vid_t>(s.frontier_queue.size());
   if (policy.decide(e_cq, v_cq, g.num_edges(), g.num_vertices()) ==
       bfs::Direction::kTopDown) {
-    step_top_down(g, s, e, tuning);
+    step_top_down(g, s, e);
   } else {
-    step_bottom_up(g, s, e, tuning);
+    step_bottom_up(g, s, e);
   }
 }
 

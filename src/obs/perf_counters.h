@@ -1,8 +1,7 @@
 // Hardware performance-counter sampling via perf_event_open(2).
 //
-// The memory-subsystem pass (DESIGN.md §12) claims cache-behaviour
-// improvements; this wrapper lets bench_mem and bench_build_pipeline
-// *measure* them instead of inferring from wall clock: cycles,
+// Cache-behaviour claims need measuring, not inferring from wall
+// clock: this wrapper lets bench_build_pipeline read cycles,
 // instructions, cache references/misses, and branch misses around a
 // region of interest, read as one counter group so all five share the
 // same enabled window.

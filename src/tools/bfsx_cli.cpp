@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bfs/drivers.h"
-#include "bfs/hub_cache.h"
 #include "graph/compressed_csr.h"
 #include "check/agreement.h"
 #include "check/report.h"
@@ -274,7 +273,7 @@ int cmd_bfs(const Args& args) {
       {"engine", "device", "host", "m", "n", "m2", "n2", "roots", "native",
        "devices", "partition", "cluster", "link-latency-us", "link-gbps",
        "trace-out", "trace-format", "metrics", "paranoid", "batch",
-       "batch-size", "reorder", "prefetch", "hub-cache", "compress"}));
+       "batch-size", "reorder", "compress"}));
 
   const graph500::BatchMode batch_mode =
       graph500::parse_batch_mode(args.get_or("batch", "serial"));
@@ -373,25 +372,9 @@ int cmd_bfs(const Args& args) {
     cfg.cluster = std::make_shared<const sim::Cluster>(cluster_from_args(args));
   }
 
-  // Memory-subsystem knobs (native engines only; everything else
-  // ignores them — DESIGN.md §12). The hub cache and compressed view
-  // are built once here and outlive the engine closure below.
-  const int prefetch_distance = args.get_int("prefetch", 0);
-  if (prefetch_distance < 0) {
-    throw std::invalid_argument("--prefetch: distance must be >= 0");
-  }
-  cfg.tuning.prefetch.distance = prefetch_distance;
-  const int hub_k = args.get_int("hub-cache", 0);
-  if (hub_k < 0) {
-    throw std::invalid_argument("--hub-cache: k must be >= 0");
-  }
-  std::optional<bfs::HubCache> hub_cache;
-  if (hub_k > 0) {
-    hub_cache.emplace(g, hub_k);
-    cfg.tuning.hub_cache = &*hub_cache;
-    std::printf("hub-cache: %zu hubs, %zu cached in-edges\n",
-                hub_cache->num_hubs(), hub_cache->total_hub_entries());
-  }
+  // --compress (native engines only; everything else ignores it —
+  // DESIGN.md §12): the compressed view is built once here and outlives
+  // the engine closure below.
   std::optional<graph::CompressedCsrView> compressed;
   if (args.get_bool("compress", false)) {
     compressed.emplace(g);
@@ -705,8 +688,7 @@ int usage() {
       "            [--device cpu|gpu|mic|KEY=VAL,...] [--host cpu] [--m M --n N]\n"
       "            [--m2 M --n2 N] [--roots K] [--metrics] [--paranoid]\n"
       "            [--batch serial|parallel_roots|msbfs] [--batch-size 1..64]\n"
-      "            [--reorder degree|bfs]\n"
-      "            [--prefetch DIST] [--hub-cache K] [--compress]  (native-*)\n"
+      "            [--reorder degree|bfs] [--compress (native-*)]\n"
       "            [--trace-out FILE [--trace-format jsonl|csv]]\n"
       "            dist: [--devices N] [--partition block|balanced]\n"
       "                  [--cluster cpu+cpu+gpu] [--link-latency-us L --link-gbps B]\n"

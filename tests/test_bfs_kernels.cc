@@ -277,8 +277,7 @@ HybridRecord record_hybrid(const graph::CsrGraphView& g, vid_t root) {
                       td.next_vertices,      bu.frontier_vertices,
                       bu.unvisited_vertices, bu.candidates,
                       bu.edges_scanned_hit,  bu.edges_scanned_miss,
-                      bu.next_vertices,      bu.hub_probes,
-                      bu.hub_hits};
+                      bu.next_vertices};
         r.queue = s.frontier_queue;
         if (dir == Direction::kTopDown) {
           std::sort(r.queue.begin(), r.queue.end());
@@ -594,7 +593,7 @@ TEST(TopDownBalance, PiecesCoverEveryWeightedEdgeOnce) {
     std::vector<std::pair<std::size_t, vid_t>> got;
     for (std::int64_t p = 0; p < piece_count(offsets.back()); ++p) {
       const std::size_t before = got.size();
-      expand_piece(g, rows, offsets.data(), p, 0,
+      expand_piece(g, rows, offsets.data(), p,
                    [&got](std::size_t i, vid_t w) { got.emplace_back(i, w); });
       *longest = std::max(*longest, static_cast<eid_t>(got.size() - before));
     }
@@ -727,7 +726,7 @@ TEST(FrontierHelpers, ComplementDecodeListsEveryUnsetPosition) {
         expect.push_back(static_cast<vid_t>(v));
       }
     }
-    graph::numa::vector<vid_t> list = {5, 6};  // replaced, not appended
+    graph::UninitVector<vid_t> list = {5, 6};  // replaced, not appended
     std::vector<BlockSpan> spans;
     decode_bits(bm, /*complement=*/true, list, spans);
     EXPECT_TRUE(std::equal(list.begin(), list.end(), expect.begin(),
@@ -792,6 +791,113 @@ TEST(FrontierHelpers, OutEdgeCount) {
   EXPECT_EQ(frontier_out_edges(g, {0}), 4);
   EXPECT_EQ(frontier_out_edges(g, {1, 2}), 2);
   EXPECT_EQ(frontier_out_edges(g, {}), 0);
+}
+
+// --- top-down scratch reuse -------------------------------------------
+
+TEST(TopDownScratch, CapacityStableAcrossRepeatTraversals) {
+  // Serial team: the dynamic schedule degenerates to one deterministic
+  // thread, so per-part discovery counts — and therefore high-water
+  // capacities — are identical run to run. (With >1 thread the chunk
+  // assignment is scheduler-dependent and capacities are only
+  // eventually stable, which a unit test cannot pin.)
+  const graph::CsrGraph g = rmat(14);
+  const graph::CsrGraphView view(g);
+  const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
+  omp_set_num_threads(1);
+
+  BfsState state(g.num_vertices(), root);
+  // Warm-up runs: buffers reach their high-water marks, and the
+  // td_next/frontier_queue swap pair settles (the pair alternates
+  // storage, so both sides need one full traversal to size up).
+  for (int run = 0; run < 2; ++run) {
+    state.reset(g.num_vertices(), root);
+    while (!state.frontier_empty()) top_down_step(view, state);
+  }
+  ASSERT_FALSE(state.td_local_next.empty());
+  std::vector<std::size_t> part_caps;
+  for (const auto& part : state.td_local_next) {
+    part_caps.push_back(part.items.capacity());
+  }
+  const std::size_t next_cap = state.td_next.capacity();
+  const std::size_t queue_cap = state.frontier_queue.capacity();
+  const std::size_t offsets_cap = state.td_offsets.capacity();
+  ASSERT_GT(offsets_cap, 1u);
+
+  // Steady state: a further traversal must not grow any buffer — zero
+  // growth means zero steady-state allocation.
+  state.reset(g.num_vertices(), root);
+  while (!state.frontier_empty()) top_down_step(view, state);
+  ASSERT_EQ(state.td_local_next.size(), part_caps.size());
+  for (std::size_t i = 0; i < part_caps.size(); ++i) {
+    EXPECT_EQ(state.td_local_next[i].items.capacity(), part_caps[i]) << i;
+  }
+  EXPECT_EQ(state.td_next.capacity(), next_cap);
+  EXPECT_EQ(state.frontier_queue.capacity(), queue_cap);
+  EXPECT_EQ(state.td_offsets.capacity(), offsets_cap);
+}
+
+TEST(TopDownScratch, ParallelRunsKeepTeamWidthAndResults) {
+  const graph::CsrGraph g = rmat(12);
+  const graph::CsrGraphView view(g);
+  const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
+  omp_set_num_threads(4);
+  BfsState state(g.num_vertices(), root);
+  while (!state.frontier_empty()) top_down_step(view, state);
+  const std::size_t parts = state.td_local_next.size();
+  ASSERT_GE(parts, 1u);
+  const vid_t reached_first = state.reached;
+  // Reuse across runs never re-sizes the per-thread buffer vector and
+  // reproduces the traversal exactly.
+  for (int run = 0; run < 2; ++run) {
+    state.reset(g.num_vertices(), root);
+    while (!state.frontier_empty()) top_down_step(view, state);
+    EXPECT_EQ(state.td_local_next.size(), parts);
+    EXPECT_EQ(state.reached, reached_first);
+  }
+}
+
+TEST(TopDownScratch, ResetClearsPartsButKeepsCapacity) {
+  const graph::CsrGraph g = rmat(10);
+  const graph::CsrGraphView view(g);
+  BfsState state(g.num_vertices(), graph::vid_t{0});
+  while (!state.frontier_empty()) top_down_step(view, state);
+  const std::size_t caps = state.td_next.capacity();
+  const std::size_t offsets_cap = state.td_offsets.capacity();
+  state.reset(g.num_vertices(), graph::vid_t{1});
+  EXPECT_TRUE(state.td_next.empty());
+  EXPECT_TRUE(state.td_offsets.empty());
+  for (const auto& part : state.td_local_next) {
+    EXPECT_TRUE(part.items.empty());
+  }
+  EXPECT_EQ(state.td_next.capacity(), caps);
+  EXPECT_EQ(state.td_offsets.capacity(), offsets_cap);
+}
+
+// --- bottom-up candidate reserve ---------------------------------------
+
+TEST(BottomUpReserve, UnvisitedReservesRemainderNotWholeGraph) {
+  const graph::CsrGraph g = rmat(14);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
+  omp_set_num_threads(1);
+
+  // Run top-down until a sizable share of the graph is visited, then
+  // prime the candidate list via one bottom-up step.
+  BfsState state(g, root);
+  while (!state.frontier_empty() &&
+         static_cast<std::size_t>(state.reached) < n / 4) {
+    top_down_step(g, state);
+  }
+  ASSERT_FALSE(state.frontier_empty()) << "graph too small for the scenario";
+  const auto reached_before = static_cast<std::size_t>(state.reached);
+  ASSERT_GT(reached_before, 1u);
+  bottom_up_step(g, state);
+  ASSERT_TRUE(state.unvisited_primed);
+  // Regression pin for the right-sized reserve: the serial prime used
+  // to reserve n slots; it must now hold at most n - reached_before.
+  EXPECT_LE(state.unvisited.capacity(), n - reached_before);
+  EXPECT_GE(state.unvisited.capacity(), state.unvisited.size());
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-#!/usr/bin/env python3
-"""OpenMP race pass for the bfsx kernels (formerly tools/lint/omp_lint).
+"""OpenMP race pass for the bfsx kernels.
 
 A narrow, project-specific static checker over every ``#pragma omp``
 site. It parses each pragma's clauses and the loop body it governs, and
@@ -37,9 +36,9 @@ the pragma they justify and the reasons in src/ predate the analyzer::
 A suppression must name the rule and give a non-empty reason; malformed
 annotations are themselves reported (rule ``bad-annotation``).
 
-This module is self-contained on purpose: ``tools/lint/omp_lint.py``
-loads it as the back-compat CLI, and the ``PASS`` adapter at the bottom
-plugs the same ``lint_text`` into the bfsx-analyze engine.
+The ``PASS`` adapter at the bottom plugs ``lint_text`` into the
+bfsx-analyze engine; ``tools/analyze/selftest/omp/`` holds the cases
+every rule must fire on and the idioms it must stay silent on.
 
 This is a heuristic lint, not a compiler: it trades soundness for zero
 build-time dependencies. When it is wrong, say why with an allow()
@@ -49,15 +48,11 @@ lint exists to make explicit.
 
 from __future__ import annotations
 
-import os
 import re
-import sys
 from dataclasses import dataclass, field
 
 RULES = ("shared-write", "det-dynamic", "missing-workers", "nowait-read",
          "bad-annotation")
-
-SOURCE_SUFFIXES = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
 ALLOW_RE = re.compile(r"//\s*omp-lint:\s*allow\(([\w-]+)\)\s*(.*)")
 DET_RE = re.compile(r"//\s*det:")
@@ -451,44 +446,6 @@ def lint_text(text: str, path: str = "<string>") -> list[Violation]:
     return violations
 
 
-def lint_file(path: str) -> list[Violation]:
-    with open(path, encoding="utf-8", errors="replace") as f:
-        return lint_text(f.read(), path)
-
-
-def collect_sources(paths: list[str]) -> list[str]:
-    files = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                for name in sorted(names):
-                    if name.endswith(SOURCE_SUFFIXES):
-                        files.append(os.path.join(root, name))
-        else:
-            files.append(p)
-    return files
-
-
-def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip().split("\n")[0])
-        print("usage: omp_lint.py PATH...", file=sys.stderr)
-        return 2
-    files = collect_sources(argv)
-    violations = []
-    pragma_count = 0
-    for path in files:
-        with open(path, encoding="utf-8", errors="replace") as f:
-            text = f.read()
-        pragma_count += len(_find_pragmas(text.split("\n")))
-        violations.extend(lint_text(text, path))
-    for v in violations:
-        print(v)
-    print(f"omp_lint: {len(files)} file(s), {pragma_count} pragma(s), "
-          f"{len(violations)} violation(s)")
-    return 1 if violations else 0
-
-
 class OmpPass:
     """bfsx-analyze adapter: same checker, engine-shaped findings.
 
@@ -526,7 +483,3 @@ class OmpPass:
 
 
 PASS = OmpPass()
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

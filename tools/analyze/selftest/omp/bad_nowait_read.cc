@@ -1,5 +1,5 @@
 // Fixture: a nowait loop whose written variable is read again before
-// the region's barrier.
+// the region's barrier — next to one read only after the region.
 #include <cstddef>
 
 namespace bfsx {
@@ -8,7 +8,7 @@ double hasty(const double* data, double* out, std::size_t n) {
   double last = 0.0;
 #pragma omp parallel
   {
-// EXPECT(nowait-read)
+// EXPECT(nowait-read: last)
 // omp-lint: allow(shared-write) fixture isolates the nowait-read rule;
 // the write itself is the planted hazard, not the subject
 #pragma omp for nowait
@@ -19,6 +19,18 @@ double hasty(const double* data, double* out, std::size_t n) {
     out[0] = last;
   }
   return last;
+}
+
+double patient(const double* data, std::size_t n) {
+  double total = 0.0;
+#pragma omp parallel reduction(+ : total)
+  {
+#pragma omp for nowait
+    for (std::size_t i = 0; i < n; ++i) {
+      total += data[i];
+    }
+  }
+  return total;
 }
 
 }  // namespace bfsx

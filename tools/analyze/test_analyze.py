@@ -36,7 +36,13 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 SELFTEST = os.path.join(HERE, "selftest")
 DRIVER = os.path.join(HERE, "bfsx_analyze.py")
 
-EXPECT_RE = re.compile(r"EXPECT\(([\w-]+)\)")
+# EXPECT(rule) or EXPECT(rule: text), where text must appear in the
+# message of a finding of that rule.
+EXPECT_RE = re.compile(r"EXPECT\(([\w-]+)(?::\s*([^)]+))?\)")
+
+
+def expected_rules(text: str) -> list[str]:
+    return sorted(m.group(1) for m in EXPECT_RE.finditer(text))
 REL_RE = re.compile(r"//\s*REL:\s*(\S+)")
 
 PASSES = {p.name: p for p in all_passes()}
@@ -62,13 +68,21 @@ class CorpusTest(unittest.TestCase):
 
     def _check_fixture(self, pass_name: str, path: str) -> None:
         sf = load_fixture(path)
-        expected = sorted(EXPECT_RE.findall(sf.text))
+        expected = expected_rules(sf.text)
         self.assertTrue(expected,
                         f"{path}: fixture declares no EXPECT markers")
-        found = sorted(f.rule for f in run_pass(pass_name, sf))
+        findings = run_pass(pass_name, sf)
+        found = sorted(f.rule for f in findings)
         self.assertEqual(
             expected, found,
             f"{path}: expected {expected}, pass found {found}")
+        for m in EXPECT_RE.finditer(sf.text):
+            rule, quoted = m.groups()
+            if quoted:
+                self.assertTrue(
+                    any(f.rule == rule and quoted in f.message
+                        for f in findings),
+                    f"{path}: no {rule} finding mentions {quoted!r}")
 
     def test_corpus(self):
         pass_dirs = [d for d in sorted(os.listdir(SELFTEST))
@@ -83,6 +97,19 @@ class CorpusTest(unittest.TestCase):
                     self._check_fixture(
                         d, os.path.join(SELFTEST, d, name))
 
+    def test_omp_findings_sit_on_their_pragma(self):
+        # A finding names the pragma it judges: that is the line an
+        # allow() annotation must sit above to suppress it.
+        omp_dir = os.path.join(SELFTEST, "omp")
+        for name in sorted(os.listdir(omp_dir)):
+            sf = load_fixture(os.path.join(omp_dir, name))
+            lines = sf.text.split("\n")
+            for f in run_pass("omp", sf):
+                with self.subTest(fixture=name, line=f.line):
+                    self.assertTrue(
+                        lines[f.line - 1].startswith("#pragma omp"),
+                        lines[f.line - 1])
+
     def test_every_rule_has_a_fixture(self):
         covered: set[str] = set()
         for d in sorted(os.listdir(SELFTEST)):
@@ -93,7 +120,7 @@ class CorpusTest(unittest.TestCase):
                 if name.endswith(engine.SOURCE_SUFFIXES):
                     with open(os.path.join(full, name),
                               encoding="utf-8") as f:
-                        covered.update(EXPECT_RE.findall(f.read()))
+                        covered.update(expected_rules(f.read()))
         missing = known_rules() - covered - {"missing-tu"}
         self.assertFalse(
             missing,
@@ -102,7 +129,7 @@ class CorpusTest(unittest.TestCase):
     def test_framework_bad_suppression_fixture(self):
         path = os.path.join(SELFTEST, "framework", "bad_suppression.cc")
         sf = load_fixture(path)
-        expected = sorted(EXPECT_RE.findall(sf.text))
+        expected = expected_rules(sf.text)
         _, _, ann = engine.apply_suppressions(
             [], {sf.rel: sf}, known_rules())
         self.assertEqual(expected, sorted(f.rule for f in ann))
