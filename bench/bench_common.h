@@ -124,8 +124,8 @@ class JsonReport {
 };
 
 /// Best-of-N measurement: invokes `run()` `reps` times and returns the
-/// result `score` ranks highest. The perf benches (bench_graphview,
-/// bench_msbfs) take the best pass rather than the mean so
+/// result `score` ranks highest. The perf benches (bench_msbfs) take
+/// the best pass rather than the mean so
 /// one scheduler hiccup cannot fabricate a regression; `score` is
 /// usually aggregate TEPS.
 template <typename F, typename Score>

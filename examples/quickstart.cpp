@@ -41,11 +41,10 @@ int main() {
 
   // 4. What happened, level by level.
   std::printf("\nper-level plan (root %d):\n", root);
-  for (const core::ExecutedLevel& lvl : run.levels) {
-    std::printf("  level %d: %-16s %-3s |V|cq=%-8d %.3f ms\n",
-                lvl.outcome.level, lvl.device.c_str(),
-                to_string(lvl.outcome.direction),
-                lvl.outcome.frontier_vertices, lvl.outcome.seconds * 1e3);
+  for (const obs::LevelEvent& lvl : run.levels) {
+    std::printf("  level %d: %-16s %-3s |V|cq=%-8d %.3f ms\n", lvl.level,
+                lvl.device.c_str(), to_string(lvl.direction),
+                lvl.frontier_vertices, lvl.compute_seconds * 1e3);
   }
   std::printf("\nreached %d vertices in %.3f ms modelled time "
               "(%.3f GTEPS, %.3f ms of that on PCIe)\n",

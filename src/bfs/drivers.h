@@ -4,17 +4,17 @@
 // paper calls GPUTD/GPUBU/CPUTD/CPUBU when bound to a device model.
 //
 // All three drivers are templates over graph views (graph/view.h):
-// run_top_down and run_serial need only out-neighbour enumeration
-// (graph::GraphView); run_bottom_up needs predecessor access
-// (graph::TransposeView). The CsrGraph overloads forward through the
-// zero-overhead adapter.
+// run_serial needs only out-neighbour enumeration (graph::GraphView);
+// run_top_down runs the level loop (bfs/traverse.h), which reads |E|
+// (graph::EdgeCountedView); run_bottom_up also needs predecessor
+// access (graph::HybridView). The CsrGraph overloads forward through
+// the zero-overhead adapter.
 #pragma once
 
 #include <deque>
 
-#include "bfs/bottomup.h"
 #include "bfs/state.h"
-#include "bfs/topdown.h"
+#include "bfs/traverse.h"
 #include "check/agreement.h"
 #include "graph/view.h"
 
@@ -49,36 +49,35 @@ struct TraversalLog {
   return out;
 }
 
-/// Pure top-down traversal (paper Algorithm 1).
-template <graph::GraphView V>
-BfsResult run_top_down(const V& g, vid_t root, TraversalLog* log = nullptr) {
+/// One pure-direction run through the level loop (bfs/traverse.h),
+/// each level recorded into `log` when one is given.
+template <graph::EdgeCountedView V>
+BfsResult run_forced(const V& g, vid_t root, Direction direction,
+                     TraversalLog* log) {
   BfsState state(g.num_vertices(), root);
-  while (!state.frontier_empty()) {
-    const std::int32_t lvl = state.current_level;
-    const TopDownStats s = top_down_step(g, state);
-    if (log != nullptr) {
-      log->levels.push_back({lvl, s.frontier_vertices, s.frontier_edges,
-                             /*bottom_up_scanned=*/0, s.next_vertices});
-    }
-  }
+  traverse(g, state, ForcedPolicy{direction},
+           [log](const V& view, BfsState& s, const Frontier& f, Decision d) {
+             const LevelStats l = step_level(view, s, f, d.direction);
+             if (log != nullptr) {
+               log->levels.push_back({l.level, l.frontier_vertices,
+                                      l.frontier_edges,
+                                      l.bu_edges_hit + l.bu_edges_miss,
+                                      l.next_vertices});
+             }
+           });
   return std::move(state).take_result(g);
 }
 
+/// Pure top-down traversal (paper Algorithm 1).
+template <graph::EdgeCountedView V>
+BfsResult run_top_down(const V& g, vid_t root, TraversalLog* log = nullptr) {
+  return run_forced(g, root, Direction::kTopDown, log);
+}
+
 /// Pure bottom-up traversal (paper Algorithm 2).
-template <graph::TransposeView V>
+template <graph::HybridView V>
 BfsResult run_bottom_up(const V& g, vid_t root, TraversalLog* log = nullptr) {
-  BfsState state(g.num_vertices(), root);
-  while (!state.frontier_empty()) {
-    const std::int32_t lvl = state.current_level;
-    const eid_t cq_edges = state.frontier_out_edges(g);
-    const vid_t cq_vertices = static_cast<vid_t>(state.frontier_queue.size());
-    const BottomUpStats s = bottom_up_step(g, state);
-    if (log != nullptr) {
-      log->levels.push_back(
-          {lvl, cq_vertices, cq_edges, s.edges_scanned(), s.next_vertices});
-    }
-  }
-  return std::move(state).take_result(g);
+  return run_forced(g, root, Direction::kBottomUp, log);
 }
 
 /// Textbook serial queue BFS; the oracle all parallel kernels are

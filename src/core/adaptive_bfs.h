@@ -2,28 +2,25 @@
 // MICCB — one device, per-level direction chosen by the M/N policy.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/beamer_policy.h"
 #include "core/hybrid_policy.h"
+#include "core/traversal.h"
 #include "obs/sink.h"
 #include "sim/device.h"
 
 namespace bfsx::core {
 
-/// One executed level with the device it ran on (single-arch runs have
-/// one device throughout; cross-arch runs mix).
-struct ExecutedLevel {
-  sim::LevelOutcome outcome;
-  std::string device;
-};
-
 struct CombinationRun {
   bfs::BfsResult result;
   double seconds = 0.0;            // total modelled time
   double transfer_seconds = 0.0;   // interconnect share (cross-arch only)
-  std::vector<ExecutedLevel> levels;
+  /// One event per executed level, with the device it ran on and its
+  /// modelled compute_seconds (single-arch runs have one device
+  /// throughout; cross-arch runs mix). Handoffs are not levels.
+  std::vector<obs::LevelEvent> levels;
   int direction_switches = 0;
 
   /// TEPS over the reached component at the modelled time.
@@ -59,5 +56,24 @@ struct CombinationRun {
 [[nodiscard]] CombinationRun run_combination_beamer(
     const graph::CsrGraph& g, graph::vid_t root, const sim::Device& device,
     const BeamerPolicy& policy, obs::TraceSink* sink = nullptr);
+
+/// Any modelled run through the level loop, reported as a
+/// CombinationRun and traced as `engine`.
+template <typename Policy, typename Clock>
+[[nodiscard]] CombinationRun run_modelled(const graph::CsrGraph& g,
+                                          graph::vid_t root,
+                                          const char* engine,
+                                          Policy&& policy, Clock&& clock,
+                                          obs::TraceSink* sink) {
+  CombinationRun run;
+  Traversal t = run_traversal(g, root, engine, std::forward<Policy>(policy),
+                              std::forward<Clock>(clock), sink, nullptr,
+                              &run.levels);
+  run.result = std::move(t.result);
+  run.seconds = t.seconds;
+  run.transfer_seconds = t.comm_seconds;
+  run.direction_switches = t.direction_switches;
+  return run;
+}
 
 }  // namespace bfsx::core

@@ -63,9 +63,9 @@ CombinationRun run_adaptive_single(const graph::CsrGraph& g,
                                    const GraphFeatures& features,
                                    const sim::Device& device,
                                    const SwitchPredictor& predictor,
-                            obs::TraceSink* sink) {
+                                   obs::TraceSink* sink) {
   const HybridPolicy policy = predictor.predict(features, device.spec());
-  return run_combination(g, root, device, policy);
+  return run_combination(g, root, device, policy, sink);
 }
 
 }  // namespace bfsx::core

@@ -17,7 +17,7 @@
 // quantifies what the paper's reformulation gains or loses.
 #pragma once
 
-#include "bfs/state.h"
+#include "bfs/traverse.h"
 #include "graph/types.h"
 
 namespace bfsx::core {
@@ -53,6 +53,26 @@ struct BeamerPolicy {
   void validate() const;
 
   friend bool operator==(const BeamerPolicy&, const BeamerPolicy&) = default;
+};
+
+/// The rule with the state one traversal carries: the out-edges of
+/// every frontier so far (m_u is |E| minus them) and the last
+/// direction. Make one per traversal.
+class BeamerRule {
+ public:
+  explicit BeamerRule(const BeamerPolicy& policy) : policy_(policy) {}
+
+  [[nodiscard]] bfs::Direction decide(const bfs::Frontier& f) {
+    explored_ += f.edges;
+    previous_ = policy_.decide(f.edges, f.total_edges - explored_,
+                               f.vertices, f.total_vertices, previous_);
+    return previous_;
+  }
+
+ private:
+  BeamerPolicy policy_;
+  graph::eid_t explored_ = 0;
+  bfs::Direction previous_ = bfs::Direction::kTopDown;
 };
 
 }  // namespace bfsx::core

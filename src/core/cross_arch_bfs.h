@@ -20,6 +20,31 @@
 
 namespace bfsx::core {
 
+/// Algorithm 3's device and direction rule, with the one bit of state
+/// a traversal carries. The host (device 0) runs top-down while
+/// `handoff` picks top-down; from its first bottom-up pick on, the
+/// accelerator (device 1) runs every level under `accel`, or pure
+/// bottom-up when `accel` is null. Make one per traversal.
+class HandoffRule {
+ public:
+  HandoffRule(const HybridPolicy& handoff, const HybridPolicy* accel)
+      : handoff_(handoff), accel_(accel) {}
+
+  [[nodiscard]] bfs::Decision decide(const bfs::Frontier& f) {
+    if (!on_accel_ && handoff_.decide(f) == bfs::Direction::kTopDown) {
+      return {bfs::Direction::kTopDown, 0};
+    }
+    on_accel_ = true;  // line 11: control never returns to the host
+    return {accel_ != nullptr ? accel_->decide(f) : bfs::Direction::kBottomUp,
+            1};
+  }
+
+ private:
+  HybridPolicy handoff_;
+  const HybridPolicy* accel_;
+  bool on_accel_ = false;
+};
+
 /// Runs Algorithm 3 on host + accelerator over a link. `sink`
 /// (optional, non-owning) observes the traversal as engine "cross";
 /// the host→accelerator frontier shipment is emitted as an explicit

@@ -7,7 +7,7 @@
 
 #include <stdexcept>
 
-#include "bfs/state.h"
+#include "bfs/traverse.h"
 #include "graph/types.h"
 
 namespace bfsx::core {
@@ -30,6 +30,11 @@ struct HybridPolicy {
         static_cast<double>(frontier_vertices) <
             static_cast<double>(total_vertices) / n;
     return td ? bfs::Direction::kTopDown : bfs::Direction::kBottomUp;
+  }
+
+  /// The same test on the level loop's frontier (bfs/traverse.h).
+  [[nodiscard]] bfs::Direction decide(const bfs::Frontier& f) const {
+    return decide(f.edges, f.vertices, f.total_edges, f.total_vertices);
   }
 
   /// Throws std::invalid_argument unless both knobs are >= 1 (M, N < 1

@@ -1,7 +1,7 @@
 #include "core/level_trace.h"
 
-#include "bfs/bottomup.h"
-#include "bfs/topdown.h"
+#include "bfs/traverse.h"
+#include "core/cross_arch_bfs.h"
 
 namespace bfsx::core {
 
@@ -10,25 +10,29 @@ LevelTrace build_level_trace(const graph::CsrGraph& g, graph::vid_t root) {
   trace.num_vertices = g.num_vertices();
   trace.num_edges = g.num_edges();
 
+  // Top-down advances the state; before each step, a bottom-up probe
+  // records what that direction would have scanned.
   bfs::BfsState state(g, root);
-  while (!state.frontier_empty()) {
-    TraceLevel lvl;
-    lvl.level = state.current_level;
-    lvl.frontier_vertices = static_cast<graph::vid_t>(state.frontier_queue.size());
-    lvl.frontier_edges = state.frontier_out_edges(g);
-
-    const bfs::BottomUpStats probe = bfs::bottom_up_probe(g, state);
-    lvl.bu_edges_hit = probe.edges_scanned_hit;
-    lvl.bu_edges_miss = probe.edges_scanned_miss;
-
-    const bfs::TopDownStats advanced = bfs::top_down_step(g, state);
-    lvl.next_vertices = advanced.next_vertices;
-    trace.levels.push_back(lvl);
-  }
+  bfs::traverse(g, state, bfs::ForcedPolicy{bfs::Direction::kTopDown},
+                [&trace](const graph::CsrGraph& view, bfs::BfsState& s,
+                         const bfs::Frontier& f, bfs::Decision d) {
+                  const bfs::BottomUpStats probe =
+                      bfs::bottom_up_probe(view, s);
+                  const bfs::LevelStats step =
+                      bfs::step_level(view, s, f, d.direction);
+                  trace.levels.push_back(
+                      {f.level, f.vertices, f.edges, probe.edges_scanned_hit,
+                       probe.edges_scanned_miss, step.next_vertices});
+                });
   return trace;
 }
 
 namespace {
+
+bfs::Frontier frontier_of(const TraceLevel& lvl, const LevelTrace& trace) {
+  return {lvl.level, lvl.frontier_vertices, lvl.frontier_edges,
+          trace.num_vertices, trace.num_edges};
+}
 
 double level_cost(const TraceLevel& lvl, const LevelTrace& trace,
                   const sim::ArchSpec& arch, bfs::Direction dir) {
@@ -55,10 +59,8 @@ double replay_single(const LevelTrace& trace, const sim::ArchSpec& arch,
   policy.validate();
   double seconds = 0.0;
   for (const TraceLevel& lvl : trace.levels) {
-    const bfs::Direction dir =
-        policy.decide(lvl.frontier_edges, lvl.frontier_vertices,
-                      trace.num_edges, trace.num_vertices);
-    seconds += level_cost(lvl, trace, arch, dir);
+    seconds +=
+        level_cost(lvl, trace, arch, policy.decide(frontier_of(lvl, trace)));
   }
   return seconds;
 }
@@ -66,17 +68,11 @@ double replay_single(const LevelTrace& trace, const sim::ArchSpec& arch,
 double replay_beamer(const LevelTrace& trace, const sim::ArchSpec& arch,
                      const BeamerPolicy& policy) {
   policy.validate();
+  BeamerRule rule(policy);
   double seconds = 0.0;
-  graph::eid_t explored = 0;  // out-edges of all visited levels so far
-  bfs::Direction prev = bfs::Direction::kTopDown;
   for (const TraceLevel& lvl : trace.levels) {
-    explored += lvl.frontier_edges;
-    const graph::eid_t unexplored = trace.num_edges - explored;
-    const bfs::Direction dir =
-        policy.decide(lvl.frontier_edges, unexplored, lvl.frontier_vertices,
-                      trace.num_vertices, prev);
-    seconds += level_cost(lvl, trace, arch, dir);
-    prev = dir;
+    seconds +=
+        level_cost(lvl, trace, arch, rule.decide(frontier_of(lvl, trace)));
   }
   return seconds;
 }
@@ -88,27 +84,20 @@ double replay_cross(const LevelTrace& trace, const sim::ArchSpec& host,
                     const HybridPolicy& accel_policy) {
   handoff_policy.validate();
   accel_policy.validate();
+  HandoffRule rule(handoff_policy, &accel_policy);
   double seconds = 0.0;
-  bool on_accel = false;
+  int device = 0;
   for (const TraceLevel& lvl : trace.levels) {
-    if (!on_accel) {
-      const bfs::Direction dir =
-          handoff_policy.decide(lvl.frontier_edges, lvl.frontier_vertices,
-                                trace.num_edges, trace.num_vertices);
-      if (dir == bfs::Direction::kTopDown) {
-        seconds += level_cost(lvl, trace, host, bfs::Direction::kTopDown);
-        continue;
-      }
+    const bfs::Decision d = rule.decide(frontier_of(lvl, trace));
+    if (d.device != device) {
       // Algorithm 3, line 11: leave the host for good; ship the
       // frontier + visited bitmaps across the link.
-      on_accel = true;
+      device = d.device;
       seconds +=
           sim::transfer_seconds(link, sim::handoff_bytes(trace.num_vertices));
     }
-    const bfs::Direction dir =
-        accel_policy.decide(lvl.frontier_edges, lvl.frontier_vertices,
-                            trace.num_edges, trace.num_vertices);
-    seconds += level_cost(lvl, trace, accel, dir);
+    seconds += level_cost(lvl, trace, d.device == 0 ? host : accel,
+                          d.direction);
   }
   return seconds;
 }

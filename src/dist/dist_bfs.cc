@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "bfs/bottomup.h"
-#include "bfs/topdown.h"
-#include "core/trace_emit.h"
+#include "core/traversal.h"
 
 namespace bfsx::dist {
 namespace {
@@ -116,6 +115,95 @@ double balance_of(const std::vector<double>& seconds) {
   return mx / (sum / static_cast<double>(seconds.size()));
 }
 
+/// The BSP cluster as the loop's clock. Each superstep counts the
+/// per-device work on the state before the step, charges the counter
+/// allreduce and the frontier exchange, runs the level on the one
+/// authoritative state, and takes the slowest device as the barrier.
+/// Every superstep's per-device record lands in `levels`.
+class SuperstepClock {
+ public:
+  SuperstepClock(const graph::CsrGraph& g, const sim::Cluster& cluster,
+                 const graph::VertexPartition& part,
+                 const std::vector<graph::LocalSubgraph>& subs,
+                 std::vector<DistLevelOutcome>& levels)
+      : cluster_(cluster),
+        part_(part),
+        subs_(subs),
+        levels_(levels),
+        name_("cluster[" + std::to_string(cluster.num_devices()) + "]"),
+        sent_marks_(cluster.num_devices()) {
+    sent_scratch_.reserve(cluster.num_devices());
+    for (std::size_t d = 0; d < cluster.num_devices(); ++d) {
+      sent_scratch_.emplace_back(static_cast<std::size_t>(g.num_vertices()));
+    }
+  }
+
+  core::Charge operator()(const graph::CsrGraph& g, bfs::BfsState& state,
+                          const bfs::Frontier& f, bfs::Decision d) {
+    const std::size_t p = cluster_.num_devices();
+    DistLevelOutcome out;
+    out.level = f.level;
+    out.direction = d.direction;
+    out.frontier_vertices = f.vertices;
+    out.frontier_edges = f.edges;
+    // Superstep step 1: the counters were allreduced to take the
+    // global branch.
+    out.comm_seconds += cluster_.allreduce_seconds(kCounterBytes);
+    out.device_compute_seconds.assign(p, 0.0);
+    if (d.direction == bfs::Direction::kTopDown) {
+      const TopDownCount count =
+          count_top_down(subs_, part_, state, sent_scratch_, sent_marks_);
+      for (std::size_t i = 0; i < p; ++i) {
+        out.device_compute_seconds[i] =
+            cluster_.device(i).top_down_cost(count.frontier_edges[i]);
+      }
+      // Step 2a: ship remote discoveries to their owners.
+      out.comm_seconds += cluster_.exchange_seconds(count.pair_bytes);
+    } else {
+      // Step 2b: allgather the frontier bitmap (each device ships its
+      // owned slice), then scan owned candidates against it.
+      std::vector<std::size_t> slices(p);
+      for (std::size_t i = 0; i < p; ++i) {
+        slices[i] = slice_bytes(part_.part_size(static_cast<int>(i)));
+      }
+      out.comm_seconds += cluster_.exchange_seconds(slices);
+      const BottomUpCount count = count_bottom_up(subs_, part_, state);
+      for (std::size_t i = 0; i < p; ++i) {
+        out.device_compute_seconds[i] = cluster_.device(i).bottom_up_cost(
+            part_.part_size(static_cast<int>(i)), count.hit_edges[i],
+            count.miss_edges[i]);
+        out.bu_edges_hit += count.hit_edges[i];
+        out.bu_edges_miss += count.miss_edges[i];
+      }
+    }
+    core::Charge c{bfs::step_level(g, state, f, d.direction), name_};
+    out.next_vertices = c.stats.next_vertices;
+
+    // Step 3: the barrier — the slowest device gates the superstep.
+    out.compute_seconds =
+        *std::max_element(out.device_compute_seconds.begin(),
+                          out.device_compute_seconds.end());
+    out.balance = balance_of(out.device_compute_seconds);
+
+    c.stats.bu_edges_hit = out.bu_edges_hit;
+    c.stats.bu_edges_miss = out.bu_edges_miss;
+    c.compute_seconds = out.compute_seconds;
+    c.comm_seconds = out.comm_seconds;
+    c.balance = out.balance;
+    levels_.push_back(std::move(out));
+    return c;
+  }
+
+ private:
+  const sim::Cluster& cluster_;
+  const graph::VertexPartition& part_;
+  const std::vector<graph::LocalSubgraph>& subs_;
+  std::vector<DistLevelOutcome>& levels_;
+  std::string name_;
+  std::vector<graph::Bitmap> sent_scratch_;
+  std::vector<std::vector<vid_t>> sent_marks_;
+};
+
 }  // namespace
 
 DistBfsRun run_dist_bfs(const graph::CsrGraph& g, vid_t root,
@@ -144,102 +232,16 @@ DistBfsRun run_dist_bfs(const graph::CsrGraph& g, vid_t root,
     run.device_graph_bytes.push_back(sub.memory_footprint_bytes());
   }
 
-  obs::RunEvent trace = core::trace_begin_run(opts.sink, "dist", g, root);
-  const std::string cluster_name =
-      "cluster[" + std::to_string(cluster.num_devices()) + "]";
-
-  bfs::BfsState state(g, root);
-  std::vector<graph::Bitmap> sent_scratch;
-  sent_scratch.reserve(cluster.num_devices());
-  for (std::size_t d = 0; d < cluster.num_devices(); ++d) {
-    sent_scratch.emplace_back(static_cast<std::size_t>(g.num_vertices()));
+  core::Traversal t = core::run_traversal(
+      g, root, "dist", opts.policy,
+      SuperstepClock(g, cluster, part, subs, run.levels), opts.sink);
+  run.result = std::move(t.result);
+  run.seconds = t.seconds;
+  run.comm_seconds = t.comm_seconds;
+  run.direction_switches = t.direction_switches;
+  for (const DistLevelOutcome& level : run.levels) {
+    run.compute_seconds += level.compute_seconds;
   }
-  std::vector<std::vector<vid_t>> sent_marks(cluster.num_devices());
-
-  bfs::Direction prev_direction = bfs::Direction::kTopDown;
-  bool first_level = true;
-  while (!state.frontier_empty()) {
-    DistLevelOutcome out;
-    out.level = state.current_level;
-    out.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
-    out.frontier_edges = state.frontier_out_edges(g);
-
-    // Superstep step 1: allreduce the counters, take the global branch.
-    out.comm_seconds += cluster.allreduce_seconds(kCounterBytes);
-    out.direction =
-        opts.policy.decide(out.frontier_edges, out.frontier_vertices,
-                           g.num_edges(), g.num_vertices());
-
-    out.device_compute_seconds.assign(cluster.num_devices(), 0.0);
-    if (out.direction == bfs::Direction::kTopDown) {
-      const TopDownCount count =
-          count_top_down(subs, part, state, sent_scratch, sent_marks);
-      for (std::size_t d = 0; d < cluster.num_devices(); ++d) {
-        out.device_compute_seconds[d] =
-            cluster.device(d).top_down_cost(count.frontier_edges[d]);
-      }
-      // Step 2a: ship remote discoveries to their owners.
-      out.comm_seconds += cluster.exchange_seconds(count.pair_bytes);
-      const bfs::TopDownStats stats = bfs::top_down_step(g, state);
-      out.next_vertices = stats.next_vertices;
-    } else {
-      // Step 2b: allgather the frontier bitmap (each device ships its
-      // owned slice), then scan owned candidates against it.
-      std::vector<std::size_t> slices(cluster.num_devices());
-      for (std::size_t d = 0; d < cluster.num_devices(); ++d) {
-        slices[d] = slice_bytes(part.part_size(static_cast<int>(d)));
-      }
-      out.comm_seconds += cluster.exchange_seconds(slices);
-      const BottomUpCount count = count_bottom_up(subs, part, state);
-      for (std::size_t d = 0; d < cluster.num_devices(); ++d) {
-        out.device_compute_seconds[d] = cluster.device(d).bottom_up_cost(
-            part.part_size(static_cast<int>(d)), count.hit_edges[d],
-            count.miss_edges[d]);
-        out.bu_edges_hit += count.hit_edges[d];
-        out.bu_edges_miss += count.miss_edges[d];
-      }
-      const bfs::BottomUpStats stats = bfs::bottom_up_step(g, state);
-      out.next_vertices = stats.next_vertices;
-    }
-
-    // Step 3: the barrier — the slowest device gates the superstep.
-    out.compute_seconds =
-        *std::max_element(out.device_compute_seconds.begin(),
-                          out.device_compute_seconds.end());
-    out.balance = balance_of(out.device_compute_seconds);
-
-    if (!first_level && out.direction != prev_direction) {
-      ++run.direction_switches;
-    }
-    first_level = false;
-    prev_direction = out.direction;
-
-    run.compute_seconds += out.compute_seconds;
-    run.comm_seconds += out.comm_seconds;
-    if (opts.sink != nullptr) {
-      obs::LevelEvent event;
-      event.level = out.level;
-      event.direction = out.direction;
-      event.device = cluster_name;
-      event.frontier_vertices = out.frontier_vertices;
-      event.frontier_edges = out.frontier_edges;
-      event.bu_edges_hit = out.bu_edges_hit;
-      event.bu_edges_miss = out.bu_edges_miss;
-      event.next_vertices = out.next_vertices;
-      event.compute_seconds = out.compute_seconds;
-      event.comm_seconds = out.comm_seconds;
-      event.balance = out.balance;
-      opts.sink->on_level(event);
-    }
-    run.levels.push_back(std::move(out));
-  }
-
-  run.seconds = run.compute_seconds + run.comm_seconds;
-  run.result = std::move(state).take_result(g);
-  core::trace_end_run(opts.sink, std::move(trace), run.result, run.seconds,
-                      run.comm_seconds,
-                      static_cast<std::int32_t>(run.levels.size()),
-                      run.direction_switches);
   return run;
 }
 

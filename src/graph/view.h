@@ -115,8 +115,8 @@ concept RowView = GraphView<V> && requires(const V& g, vid_t v) {
 /// concepts. Holds a pointer only; every accessor forwards to the
 /// inline CSR methods, so kernels instantiated for CsrGraphView compile
 /// to the same loops as the historical CsrGraph-typed kernels (the
-/// bit-equality this is held to is tested in test_graph_view and
-/// measured in bench_graphview).
+/// bit-equality this is held to is tested in test_graph_view; the
+/// CsrGraph overloads forward through this adapter).
 class CsrGraphView {
  public:
   explicit CsrGraphView(const CsrGraph& g) noexcept : g_(&g) {}

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "core/adaptive_bfs.h"
 #include "core/cross_arch_bfs.h"
 #include "dist/dist_bfs.h"
 #include "graph500/native_engine.h"
 #include "graph500/reference_bfs.h"
-#include "graph500/scenario_engine.h"
 #include "sim/arch_config.h"
 #include "tools/args.h"
 
@@ -33,6 +33,21 @@ sim::Device cpu_preset() {
   message += "; valid engines:";
   for (const EngineRegistry::Entry& e : entries) message += " " + e.name;
   throw UnknownEngineError(message);
+}
+
+/// A native engine over implicit graphs: the wall-clock loop over
+/// whichever view the scenario holds.
+template <typename Policy>
+ScenarioBfsEngine scenario_engine(const char* name, Policy policy,
+                                  const EngineConfig& cfg) {
+  return [name, policy, sink = cfg.sink, pool = cfg.pool](
+             const graph::ScenarioGraph& sg, graph::vid_t root) {
+    return std::visit(
+        [&](const auto& g) {
+          return run_native(g, root, name, policy, sink, pool);
+        },
+        sg);
+  };
 }
 
 }  // namespace
@@ -130,35 +145,18 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
   EngineRegistry r;
   r.register_engine(
       {"td", "pure top-down on one simulated device (CPUTD/GPUTD rows)",
-       [](const EngineConfig& cfg) -> BfsEngine {
-         return [device = cfg.device, sink = cfg.sink](
-                    const graph::CsrGraph& g, graph::vid_t root) {
-           core::CombinationRun run = core::run_pure(
-               g, root, device, bfs::Direction::kTopDown, sink);
-           return TimedBfs{std::move(run.result), run.seconds};
-         };
+       [](const EngineConfig& cfg) {
+         return make_top_down_engine(cfg.device, cfg.sink);
        }});
   r.register_engine(
       {"bu", "pure bottom-up on one simulated device (CPUBU/GPUBU rows)",
-       [](const EngineConfig& cfg) -> BfsEngine {
-         return [device = cfg.device, sink = cfg.sink](
-                    const graph::CsrGraph& g, graph::vid_t root) {
-           core::CombinationRun run = core::run_pure(
-               g, root, device, bfs::Direction::kBottomUp, sink);
-           return TimedBfs{std::move(run.result), run.seconds};
-         };
+       [](const EngineConfig& cfg) {
+         return make_bottom_up_engine(cfg.device, cfg.sink);
        }});
   r.register_engine(
       {"ref", "Graph 500 reference-code stand-in (penalised top-down)",
-       [](const EngineConfig& cfg) -> BfsEngine {
-         // make_reference_engine holds the device by reference; give
-         // the closure shared ownership of a copy instead.
-         auto device = std::make_shared<sim::Device>(cfg.device);
-         BfsEngine inner = make_reference_engine(*device, cfg.sink);
-         return [device, inner = std::move(inner)](const graph::CsrGraph& g,
-                                                   graph::vid_t root) {
-           return inner(g, root);
-         };
+       [](const EngineConfig& cfg) {
+         return make_reference_engine(cfg.device, cfg.sink);
        }});
   r.register_engine(
       {"hybrid", "M/N direction-switching combination on one device",
@@ -203,8 +201,8 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
          };
        }});
   // The native engines' kernels are templated over GraphView, so they
-  // also register scenario factories — the same level-step core runs
-  // over implicit grid/puzzle views (--scenario).
+  // also register scenario factories — the same level loop runs over
+  // implicit grid/puzzle views (--scenario).
   r.register_engine(
       {"native-td", "pure top-down on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
@@ -213,7 +211,8 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
        },
        {},
        [](const EngineConfig& cfg) {
-         return make_scenario_top_down_engine(cfg.sink, cfg.pool);
+         return scenario_engine(
+             "native-td", bfs::ForcedPolicy{bfs::Direction::kTopDown}, cfg);
        }});
   r.register_engine(
       {"native-bu", "pure bottom-up on this host, wall-clock timed",
@@ -223,7 +222,8 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
        },
        {},
        [](const EngineConfig& cfg) {
-         return make_scenario_bottom_up_engine(cfg.sink, cfg.pool);
+         return scenario_engine(
+             "native-bu", bfs::ForcedPolicy{bfs::Direction::kBottomUp}, cfg);
        }});
   r.register_engine(
       {"native-hybrid", "M/N combination on this host, wall-clock timed",
@@ -233,7 +233,8 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
        },
        {},
        [](const EngineConfig& cfg) {
-         return make_scenario_hybrid_engine(cfg.policy, cfg.sink, cfg.pool);
+         cfg.policy.validate();
+         return scenario_engine("native-hybrid", cfg.policy, cfg);
        }});
   // The per-root factory serves callers that treat msbfs like any other
   // engine (batches of one); --batch=msbfs goes through the

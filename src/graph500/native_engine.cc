@@ -1,42 +1,28 @@
 #include "graph500/native_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <span>
 #include <utility>
 
 #include "bfs/msbfs.h"
-#include "core/trace_emit.h"
-#include "graph500/view_engine.h"
 
 namespace bfsx::graph500 {
-
-using detail::seconds_since;
-using detail::step_bottom_up;
-using detail::step_top_down;
-using detail::traced_traversal;
-
 namespace {
 
 /// The one place a native engine picks its representation: each call
-/// runs `step(view, state, event)` level by level over `*compressed`
-/// when one is given, else over the CsrGraph the engine is called
-/// with. Either way the same templated kernels run, so the results are
-/// identical.
-template <typename Step>
-BfsEngine native_engine(const char* name, obs::TraceSink* sink,
-                        bfs::StatePool* pool,
-                        const graph::CompressedCsrView* compressed,
-                        Step step) {
-  return [name, sink, pool, compressed, step](const graph::CsrGraph& g,
-                                              graph::vid_t root) {
-    const auto run = [&](const auto& view) {
-      return traced_traversal(
-          view, root, name, sink, pool,
-          [&view, &step](bfs::BfsState& s, obs::LevelEvent* e) {
-            step(view, s, e);
-          });
-    };
-    return compressed != nullptr ? run(*compressed) : run(g);
+/// traverses `*compressed` when one is given, else the CsrGraph the
+/// engine is called with. Either way the same templated kernels run,
+/// so the results are identical.
+template <typename Policy>
+BfsEngine native_engine(const char* name, Policy policy,
+                        obs::TraceSink* sink, bfs::StatePool* pool,
+                        const graph::CompressedCsrView* compressed) {
+  return [name, policy, sink, pool, compressed](const graph::CsrGraph& g,
+                                                graph::vid_t root) {
+    return compressed != nullptr
+               ? run_native(*compressed, root, name, policy, sink, pool)
+               : run_native(g, root, name, policy, sink, pool);
   };
 }
 
@@ -45,32 +31,24 @@ BfsEngine native_engine(const char* name, obs::TraceSink* sink,
 BfsEngine make_native_top_down_engine(
     obs::TraceSink* sink, bfs::StatePool* pool,
     const graph::CompressedCsrView* compressed) {
-  return native_engine(
-      "native-td", sink, pool, compressed,
-      [](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
-        step_top_down(g, s, e);
-      });
+  return native_engine("native-td",
+                       bfs::ForcedPolicy{bfs::Direction::kTopDown}, sink,
+                       pool, compressed);
 }
 
 BfsEngine make_native_bottom_up_engine(
     obs::TraceSink* sink, bfs::StatePool* pool,
     const graph::CompressedCsrView* compressed) {
-  return native_engine(
-      "native-bu", sink, pool, compressed,
-      [](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
-        step_bottom_up(g, s, e);
-      });
+  return native_engine("native-bu",
+                       bfs::ForcedPolicy{bfs::Direction::kBottomUp}, sink,
+                       pool, compressed);
 }
 
 BfsEngine make_native_hybrid_engine(
     core::HybridPolicy policy, obs::TraceSink* sink, bfs::StatePool* pool,
     const graph::CompressedCsrView* compressed) {
   policy.validate();
-  return native_engine(
-      "native-hybrid", sink, pool, compressed,
-      [policy](const auto& g, bfs::BfsState& s, obs::LevelEvent* e) {
-        detail::step_hybrid(g, policy, s, e);
-      });
+  return native_engine("native-hybrid", policy, sink, pool, compressed);
 }
 
 BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,
@@ -87,10 +65,12 @@ BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,
       trace = core::trace_begin_run(sink, "msbfs", g,
                                     batch.empty() ? 0 : batch.front());
     }
-    const auto start = detail::EngineClock::now();
+    const auto start = std::chrono::steady_clock::now();
     bfs::MsBfsResult ms =
         bfs::ms_bfs(g, std::span<const graph::vid_t>(batch), mopts);
-    const double wall = seconds_since(start);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
 
     if (sink != nullptr) {
       // One trace run per batch: level events carry the union-frontier

@@ -2,10 +2,11 @@
 //
 // The simulator (src/sim) answers "what would this cost on the paper's
 // hardware"; these engines answer "what does it cost on the machine I
-// am running on". They drive the identical OpenMP level-step kernels
-// and time each traversal with a steady clock, so the library is
-// directly usable as a production BFS on a real multicore host —
-// including the M/N hybrid, which needs no hardware model at all.
+// am running on". They run the same level loop (bfs/traverse.h) with
+// core::WallClock, which times each level step with a steady clock,
+// so the library is directly usable as a production BFS on a real
+// multicore host — including the M/N hybrid, which needs no hardware
+// model at all.
 //
 // All three single-source factories optionally draw their BfsState from
 // a bfs::StatePool (non-owning; must outlive the engine): under
@@ -19,13 +20,29 @@
 // masks, sized once per batch, so it takes no pool.
 #pragma once
 
+#include <utility>
+
 #include "bfs/state_pool.h"
 #include "core/hybrid_policy.h"
+#include "core/traversal.h"
 #include "graph/compressed_csr.h"
 #include "graph500/runner.h"
 #include "obs/sink.h"
 
 namespace bfsx::graph500 {
+
+/// One wall-clock traversal of `g` — a CsrGraph or any HybridView —
+/// from `root` under `policy`, traced as `engine`: the body of every
+/// native engine, of the scenario engines and of serve's single-source
+/// ticks. Its seconds are the sum of the level steps' wall times.
+template <typename G, typename Policy>
+TimedBfs run_native(const G& g, graph::vid_t root, const char* engine,
+                    const Policy& policy, obs::TraceSink* sink,
+                    bfs::StatePool* pool) {
+  core::Traversal run = core::run_traversal(g, root, engine, policy,
+                                            core::WallClock{}, sink, pool);
+  return {std::move(run.result), run.seconds};
+}
 
 /// Pure top-down, wall-clock timed. `sink` (optional, non-owning, must
 /// outlive the engine) observes every traversal as engine "native-td"

@@ -2,7 +2,7 @@
 
 #include "bfs/drivers.h"
 #include "core/adaptive_bfs.h"
-#include "core/trace_emit.h"
+#include "core/traversal.h"
 
 namespace bfsx::graph500 {
 
@@ -12,32 +12,19 @@ bfs::BfsResult reference_bfs(const graph::CsrGraph& g, graph::vid_t root) {
 
 BfsEngine make_reference_engine(const sim::Device& device,
                                 obs::TraceSink* sink) {
-  return [&device, sink](const graph::CsrGraph& g,
-                         graph::vid_t root) -> TimedBfs {
-    obs::RunEvent trace = core::trace_begin_run(sink, "ref", g, root);
-    bfs::BfsState state(g, root);
-    double seconds = 0.0;
-    std::int32_t depth = 0;
-    while (!state.frontier_empty()) {
-      sim::LevelOutcome out = device.run_top_down_level(g, state);
-      out.seconds *= kReferencePenalty;
-      seconds += out.seconds;
-      ++depth;
-      if (sink != nullptr) {
-        sink->on_level(core::trace_level(out, std::string(device.name())));
-      }
-    }
-    TimedBfs timed{std::move(state).take_result(g), seconds};
-    core::trace_end_run(sink, std::move(trace), timed.result, seconds, 0.0,
-                        depth, 0);
-    return timed;
+  return [device, sink](const graph::CsrGraph& g,
+                        graph::vid_t root) -> TimedBfs {
+    core::Traversal run = core::run_traversal(
+        g, root, "ref", bfs::ForcedPolicy{bfs::Direction::kTopDown},
+        core::DeviceClock{device, kReferencePenalty}, sink);
+    return {std::move(run.result), run.seconds};
   };
 }
 
 BfsEngine make_top_down_engine(const sim::Device& device,
                                obs::TraceSink* sink) {
-  return [&device, sink](const graph::CsrGraph& g,
-                         graph::vid_t root) -> TimedBfs {
+  return [device, sink](const graph::CsrGraph& g,
+                        graph::vid_t root) -> TimedBfs {
     core::CombinationRun run =
         core::run_pure(g, root, device, bfs::Direction::kTopDown, sink);
     return {std::move(run.result), run.seconds};
@@ -46,8 +33,8 @@ BfsEngine make_top_down_engine(const sim::Device& device,
 
 BfsEngine make_bottom_up_engine(const sim::Device& device,
                                 obs::TraceSink* sink) {
-  return [&device, sink](const graph::CsrGraph& g,
-                         graph::vid_t root) -> TimedBfs {
+  return [device, sink](const graph::CsrGraph& g,
+                        graph::vid_t root) -> TimedBfs {
     core::CombinationRun run =
         core::run_pure(g, root, device, bfs::Direction::kBottomUp, sink);
     return {std::move(run.result), run.seconds};

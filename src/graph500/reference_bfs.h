@@ -30,14 +30,14 @@ inline constexpr double kReferencePenalty = 3.0;
                                            graph::vid_t root);
 
 /// Builds a BfsEngine that emulates the Graph 500 reference code
-/// running on `device`. `sink` (optional, non-owning, must outlive the
-/// engine) observes every traversal as engine "ref", with per-level
-/// modelled seconds already penalty-inflated.
+/// running on a copy of `device`. `sink` (optional, non-owning, must
+/// outlive the engine) observes every traversal as engine "ref", with
+/// per-level modelled seconds already penalty-inflated.
 [[nodiscard]] BfsEngine make_reference_engine(const sim::Device& device,
                                               obs::TraceSink* sink = nullptr);
 
-/// Builds a BfsEngine for this repo's optimised pure top-down on
-/// `device` (the paper's CPUTD / GPUTD / MICTD rows). Traced as "td".
+/// Builds a BfsEngine for this repo's optimised pure top-down on a copy
+/// of `device` (the paper's CPUTD / GPUTD / MICTD rows). Traced as "td".
 [[nodiscard]] BfsEngine make_top_down_engine(const sim::Device& device,
                                              obs::TraceSink* sink = nullptr);
 

@@ -2,26 +2,24 @@
 //
 // `--scenario` hands the runner a graph::ScenarioGraph — a variant of
 // implicit views (grid world, n-puzzle) whose neighbours are generated
-// on the fly instead of read from CSR arrays. The factories here wrap
-// the same templated level-step core the native CSR engines use
-// (graph500/view_engine.h), instantiated per concrete view by one
+// on the fly instead of read from CSR arrays. The registry's scenario
+// factories run the same wall-clock level loop the native CSR engines
+// use (graph500::run_native), instantiated per concrete view by one
 // std::visit at whole-run granularity; the hot loops stay free of
 // virtual dispatch and variant branching.
 //
-// run_scenario_benchmark mirrors run_benchmark's kernel-2 protocol:
-// sampled or explicit roots, per-root validation through the templated
-// Graph 500 validator, deterministic root-order aggregation, serial or
-// parallel_roots dispatch. msbfs is not available — the bit-parallel
-// lane kernel is CSR-specialised (DESIGN.md §11).
+// run_scenario_benchmark is run_benchmark's kernel-2 protocol (one
+// implementation in runner.cc): sampled or explicit roots, per-root
+// validation through the templated Graph 500 validator, deterministic
+// root-order aggregation, serial or parallel_roots dispatch. msbfs is
+// not available — the bit-parallel lane kernel is CSR-specialised
+// (DESIGN.md §11).
 #pragma once
 
 #include <functional>
 
-#include "bfs/state_pool.h"
-#include "core/hybrid_policy.h"
 #include "graph/scenario.h"
 #include "graph500/runner.h"
-#include "obs/sink.h"
 
 namespace bfsx::graph500 {
 
@@ -30,26 +28,8 @@ namespace bfsx::graph500 {
 using ScenarioBfsEngine =
     std::function<TimedBfs(const graph::ScenarioGraph&, graph::vid_t)>;
 
-/// Pure top-down over a scenario view, wall-clock timed. Traced as
-/// "native-td" (same kernels, same counters as the CSR engine).
-[[nodiscard]] ScenarioBfsEngine make_scenario_top_down_engine(
-    obs::TraceSink* sink = nullptr, bfs::StatePool* pool = nullptr);
-
-/// Pure bottom-up over a scenario view. Both implicit views are
-/// symmetric, so in-neighbour scans reuse the successor enumeration.
-/// Traced as "native-bu".
-[[nodiscard]] ScenarioBfsEngine make_scenario_bottom_up_engine(
-    obs::TraceSink* sink = nullptr, bfs::StatePool* pool = nullptr);
-
-/// The M/N combination over a scenario view: `policy` is evaluated
-/// against |E|cq / |V|cq and the view's exact edge count every level,
-/// exactly like the CSR hybrid. Traced as "native-hybrid".
-[[nodiscard]] ScenarioBfsEngine make_scenario_hybrid_engine(
-    core::HybridPolicy policy, obs::TraceSink* sink = nullptr,
-    bfs::StatePool* pool = nullptr);
-
 /// Runs `engine` over the benchmark roots of the scenario and
-/// aggregates TEPS, mirroring run_benchmark: explicit roots are
+/// aggregates TEPS, exactly as run_benchmark does: explicit roots are
 /// range-checked, sampled roots come from graph::sample_view_roots
 /// (identical RNG stream to CSR sampling), every traversal optionally
 /// runs the Graph 500 validator, and aggregation is deterministic in

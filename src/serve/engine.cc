@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "graph500/view_engine.h"
+#include "graph500/native_engine.h"
 
 namespace bfsx::serve {
 namespace {
@@ -39,34 +39,6 @@ void answer_cell(QueryResult& r, std::int32_t distance) {
   r.reachable = distance >= 0;
 }
 
-/// Single-source dispatch for epochs without a flat CSR. The override
-/// name maps onto its direction family (td / bu / everything-else →
-/// M/N hybrid), so a query answered on a delta epoch reports the same
-/// distances the named engine would on the flat rebuild; simulated
-/// engine timing models don't apply to overlays.
-template <typename V>
-graph500::TimedBfs run_single_on_view(const V& g, const std::string& name,
-                                      graph::vid_t root,
-                                      const core::HybridPolicy& policy,
-                                      bfs::StatePool* pool) {
-  namespace d = graph500::detail;
-  if (name == "td" || name.ends_with("-td") || name == "ref") {
-    return d::traced_traversal(
-        g, root, name.c_str(), nullptr, pool,
-        [&g](bfs::BfsState& s, obs::LevelEvent* e) { d::step_top_down(g, s, e); });
-  }
-  if (name == "bu" || name.ends_with("-bu")) {
-    return d::traced_traversal(
-        g, root, name.c_str(), nullptr, pool,
-        [&g](bfs::BfsState& s, obs::LevelEvent* e) { d::step_bottom_up(g, s, e); });
-  }
-  return d::traced_traversal(g, root, name.c_str(), nullptr, pool,
-                             [&g, &policy](bfs::BfsState& s,
-                                           obs::LevelEvent* e) {
-                               d::step_hybrid(g, policy, s, e);
-                             });
-}
-
 /// The publish-duration histogram's log-scale upper bounds (seconds);
 /// the last bucket is +inf.
 constexpr std::array<double, 5> kPublishBounds = {0.001, 0.01, 0.1, 1.0,
@@ -88,6 +60,7 @@ QueryEngine::QueryEngine(graph::EdgeList edges, ServeOptions opts)
                            .delta_publish = opts_.delta_publish,
                            .compact_threshold = opts_.compact_threshold}),
       registry_(graph500::EngineRegistry::with_builtin_engines()) {
+  opts_.policy.validate();
   opts_.workers = std::max(opts_.workers, 1);
   opts_.batch_max = std::clamp(opts_.batch_max, 1, bfs::kMsBfsMaxLanes);
   paused_ = opts_.start_paused;
@@ -353,35 +326,30 @@ void QueryEngine::serve_tick(std::vector<Pending> batch) {
 }
 
 void QueryEngine::serve_single(Pending pending, const GraphEpochs::Pin& pin) {
-  const std::string name = pending.query.engine.empty()
-                               ? opts_.fallback_engine
-                               : pending.query.engine;
   obs::QueryEvent e;
   e.stage = obs::QueryEvent::Stage::kDispatch;
-  e.detail = name;
+  e.detail = pending.query.engine.empty() ? "native-hybrid"
+                                          : pending.query.engine;
   e.epoch = pin.epoch();
   e.batch_size = 1;
   e.lanes = 0;
   emit(e);
 
   try {
-    // Flat epochs take the historical path — the named engine from
-    // the registry, simulated families included. Delta epochs have no
-    // CSR to hand those closures, so the override runs its direction
-    // family directly over the overlay view.
-    graph500::TimedBfs timed =
-        pin.graph().flat() != nullptr
-            ? single_engine(name, nullptr)(*pin.graph().flat(),
-                                           pending.query.source)
-            : run_single_on_view(*pin.graph().delta(), name,
-                                 pending.query.source, opts_.policy, &pool_);
+    // Flat and delta epochs alike run the wall-clock M/N loop; every
+    // engine reaches the same levels and parents, so an override
+    // changes only the dispatch event's name.
+    bfs::BfsResult result = pin.graph().visit([&](const auto& g) {
+      return graph500::run_native(g, pending.query.source, "native-hybrid",
+                                  opts_.policy, nullptr, &pool_)
+          .result;
+    });
     QueryResult r = skeleton(pending.query);
     r.epoch = pin.epoch();
     if (r.kind == QueryKind::kBfs) {
-      answer_tree(r, std::make_shared<const bfs::BfsResult>(
-                         std::move(timed.result)));
+      answer_tree(r, std::make_shared<const bfs::BfsResult>(std::move(result)));
     } else {
-      answer_cell(r, timed.result.level[static_cast<std::size_t>(r.target)]);
+      answer_cell(r, result.level[static_cast<std::size_t>(r.target)]);
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -477,19 +445,6 @@ void QueryEngine::finish(Pending pending, QueryResult result) {
   e.seconds = result.latency_seconds;
   emit(e);
   pending.promise.set_value(std::move(result));
-}
-
-graph500::BfsEngine QueryEngine::single_engine(const std::string& name,
-                                               obs::TraceSink* sink) {
-  const std::lock_guard<std::mutex> lock(engines_mu_);
-  const auto it = engines_.find(name);
-  if (it != engines_.end()) return it->second;
-  graph500::EngineConfig cfg;
-  cfg.policy = opts_.policy;
-  cfg.pool = &pool_;
-  cfg.sink = sink;
-  return engines_.emplace(name, registry_.make_engine(name, cfg))
-      .first->second;
 }
 
 void QueryEngine::emit(const obs::QueryEvent& e) {

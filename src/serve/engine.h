@@ -11,9 +11,8 @@
 //                 │    at the door, no traversal   │   pass, lanes deduped by
 //                 │                                │   source
 //                 └ reject-with-reason when the    └ singletons / engine
-//                   queue is full (backpressure      overrides: single-source
-//                   the caller can see)              dispatch via the
-//                                                    EngineRegistry, states
+//                   queue is full (backpressure      overrides: one wall-clock
+//                   the caller can see)              M/N traversal, its state
 //                                                    leased from a StatePool
 //
 // Worker threads (std::thread; each may open its own OpenMP team
@@ -39,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,11 +69,8 @@ struct ServeOptions {
   bool cache_enabled = true;
   int num_landmarks = 16;
   /// M/N direction rule for both the MS-BFS union frontier and the
-  /// single-source fallback engine.
+  /// single-source traversal of one-query ticks.
   core::HybridPolicy policy{};
-  /// Single-source path for queries without an engine override (and
-  /// for ticks that coalesced only one query).
-  std::string fallback_engine = "native-hybrid";
   /// Optional, non-owning; must outlive the engine. Receives on_query
   /// stage events (serialised). Per-level run tracing stays off in the
   /// server — concurrent workers would interleave run brackets.
@@ -117,7 +112,8 @@ struct ServeStats {
 
 class QueryEngine {
  public:
-  /// Builds epoch 0 from `edges` and starts the worker pool.
+  /// Builds epoch 0 from `edges` and starts the worker pool. Throws
+  /// std::invalid_argument when `opts.policy` has M or N below 1.
   explicit QueryEngine(graph::EdgeList edges, ServeOptions opts = {});
   ~QueryEngine();  // shutdown(): pending queries reject kShutdown
 
@@ -193,8 +189,6 @@ class QueryEngine {
   void serve_single(Pending pending, const GraphEpochs::Pin& pin);
   void serve_msbfs(std::vector<Pending> batch, const GraphEpochs::Pin& pin);
   void finish(Pending pending, QueryResult result);
-  [[nodiscard]] graph500::BfsEngine single_engine(const std::string& name,
-                                                 obs::TraceSink* sink);
   void emit(const obs::QueryEvent& e);
   void rebuild_cache();
   void rearm_cache(const std::vector<graph::Edge>& inserted,
@@ -227,8 +221,6 @@ class QueryEngine {
   std::int64_t next_id_ = 0;
 
   std::mutex sink_mu_;  // serialises on_query emission
-  std::mutex engines_mu_;
-  std::map<std::string, graph500::BfsEngine> engines_;
 
   std::vector<std::thread> workers_;
 };

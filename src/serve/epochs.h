@@ -71,9 +71,8 @@ class EpochGraph {
   }
 
   [[nodiscard]] bool is_delta() const noexcept { return flat_ == nullptr; }
-  /// The flat CSR, or nullptr for a delta epoch (callers with
-  /// CSR-only machinery — the EngineRegistry's simulated engines —
-  /// branch on this).
+  /// The flat CSR, or nullptr for a delta epoch (for callers with
+  /// CSR-only machinery; kernels go through visit()).
   [[nodiscard]] const graph::CsrGraph* flat() const noexcept {
     return flat_.get();
   }

@@ -7,8 +7,8 @@
 // into one bit-parallel MS-BFS pass, up to 64 distinct sources per
 // tick, because queries sharing an edge walk is the economics that
 // makes a BFS server viable (BENCH_msbfs: ~3-6x aggregate TEPS).
-// Queries naming an explicit engine fall back to single-source
-// dispatch through graph500::EngineRegistry.
+// Queries naming an explicit engine are served alone, by a
+// single-source traversal.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,11 @@ struct Query {
   /// Distance / reachability only; ignored by kBfs.
   graph::vid_t target = 0;
   /// Optional engine override (a graph500::EngineRegistry name, e.g.
-  /// "native-td"). Non-empty overrides are incompatible with MS-BFS
-  /// lane batching and are dispatched alone through the registry.
+  /// "native-td"). An unregistered name is rejected at admission; a
+  /// registered one keeps the query out of MS-BFS lane batching, so it
+  /// is served alone by the single-source M/N traversal, and names the
+  /// tick's dispatch event. It does not pick the engine that answers:
+  /// every engine reaches the same levels and parents.
   std::string engine;
 };
 

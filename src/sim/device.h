@@ -1,31 +1,17 @@
-// A simulated device: executes BFS level steps *functionally* on the
-// host while charging modelled time from its ArchSpec. This is the
+// A simulated device: prices BFS levels from their work counters with
+// its ArchSpec's cost model, while the level steps themselves run on
+// the host (core::DeviceClock in core/traversal.h). This is the
 // stand-in for the paper's physical CPU / GPU / MIC (DESIGN.md §2).
 #pragma once
 
 #include <string_view>
 #include <utility>
 
-#include "bfs/bottomup.h"
-#include "bfs/state.h"
-#include "bfs/topdown.h"
+#include "graph/types.h"
 #include "sim/arch.h"
 #include "sim/cost_model.h"
 
 namespace bfsx::sim {
-
-/// Everything one executed level produced: direction, modelled time,
-/// and the exact work counters behind that time.
-struct LevelOutcome {
-  bfs::Direction direction = bfs::Direction::kTopDown;
-  std::int32_t level = 0;        // the level that was expanded
-  double seconds = 0.0;          // modelled device time
-  graph::vid_t frontier_vertices = 0;
-  graph::eid_t frontier_edges = 0;
-  graph::eid_t bu_edges_hit = 0;   // bottom-up only
-  graph::eid_t bu_edges_miss = 0;  // bottom-up only
-  graph::vid_t next_vertices = 0;
-};
 
 class Device {
  public:
@@ -34,17 +20,7 @@ class Device {
   [[nodiscard]] const ArchSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::string_view name() const noexcept { return spec_.name; }
 
-  /// Expands one level top-down (Algorithm 1 body) and returns the
-  /// modelled cost of doing so on this device.
-  LevelOutcome run_top_down_level(const graph::CsrGraph& g,
-                                  bfs::BfsState& state) const;
-
-  /// Expands one level bottom-up (Algorithm 2 body), ditto.
-  LevelOutcome run_bottom_up_level(const graph::CsrGraph& g,
-                                   bfs::BfsState& state) const;
-
-  /// Modelled cost of a top-down level with the given frontier, without
-  /// executing it (used by trace replay).
+  /// Modelled cost of a top-down level with the given frontier.
   [[nodiscard]] double top_down_cost(graph::eid_t frontier_edges) const {
     return top_down_level_seconds(spec_, frontier_edges);
   }

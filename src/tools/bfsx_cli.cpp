@@ -560,7 +560,7 @@ int cmd_serve(const Args& args) {
       {"replay", "make-trace", "queries", "bfs-fraction", "reach-fraction",
        "hot-fraction", "hot-set", "insert-every", "remove-every",
        "publish-every", "trace-seed", "workers", "batch-max", "cache",
-       "landmarks", "queue-cap", "fallback-engine", "m", "n", "trace-out",
+       "landmarks", "queue-cap", "m", "n", "trace-out",
        "trace-format", "delta", "compact-threshold", "repair", "lockstep",
        "metrics"}));
   const auto make = args.get("make-trace");
@@ -603,7 +603,6 @@ int cmd_serve(const Args& args) {
   sopt.cache_enabled = args.get_bool("cache", true);
   sopt.num_landmarks = args.get_int("landmarks", 16);
   sopt.policy = {args.get_double("m", 14.0), args.get_double("n", 24.0)};
-  sopt.fallback_engine = args.get_or("fallback-engine", "native-hybrid");
   sopt.delta_publish = args.get_bool("delta", true);
   sopt.compact_threshold =
       args.get_double("compact-threshold", sopt.compact_threshold);
@@ -705,7 +704,7 @@ int usage() {
       "            [--trace-seed S]\n"
       "            or: --replay FILE [--workers N] [--batch-max 1..64]\n"
       "            [--cache on|off] [--landmarks K] [--queue-cap N]\n"
-      "            [--fallback-engine NAME] [--trace-out FILE]\n"
+      "            [--trace-out FILE]\n"
       "            [--delta on|off] [--compact-threshold F] [--repair on|off]\n"
       "            [--lockstep] [--metrics]\n"
       "\nengines (--engine NAME):\n%s"

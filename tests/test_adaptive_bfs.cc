@@ -41,9 +41,9 @@ TEST(Combination, UsesBothDirectionsAtModerateKnobs) {
   const CombinationRun run = run_combination(g, roots[0], cpu, {14, 24});
   bool saw_td = false;
   bool saw_bu = false;
-  for (const ExecutedLevel& lvl : run.levels) {
-    saw_td |= lvl.outcome.direction == bfs::Direction::kTopDown;
-    saw_bu |= lvl.outcome.direction == bfs::Direction::kBottomUp;
+  for (const obs::LevelEvent& lvl : run.levels) {
+    saw_td |= lvl.direction == bfs::Direction::kTopDown;
+    saw_bu |= lvl.direction == bfs::Direction::kBottomUp;
   }
   EXPECT_TRUE(saw_td);
   EXPECT_TRUE(saw_bu);
@@ -55,7 +55,7 @@ TEST(Combination, MatchesLevelCount) {
   const sim::Device gpu{sim::make_kepler_gpu()};
   const CombinationRun run = run_combination(g, 0, gpu, {14, 24});
   EXPECT_EQ(run.levels.size(), 8u);  // depth-7 tree: levels 0..7 expanded
-  for (const ExecutedLevel& lvl : run.levels) {
+  for (const obs::LevelEvent& lvl : run.levels) {
     EXPECT_EQ(lvl.device, "KeplerK20xGPU");
   }
 }
@@ -66,7 +66,7 @@ TEST(Combination, SecondsAreSumOfLevels) {
   const auto roots = graph::sample_roots(g, 1, 21);
   const CombinationRun run = run_combination(g, roots[0], mic, {10, 10});
   double sum = 0;
-  for (const ExecutedLevel& lvl : run.levels) sum += lvl.outcome.seconds;
+  for (const obs::LevelEvent& lvl : run.levels) sum += lvl.compute_seconds;
   EXPECT_DOUBLE_EQ(run.seconds, sum);
   EXPECT_DOUBLE_EQ(run.transfer_seconds, 0.0);
 }

@@ -41,7 +41,7 @@ TEST(CrossArch, StartsOnHostEndsOnAccelerator) {
       run_cross_arch(f.g, f.root, f.cpu, f.gpu, f.link, {20, 30}, {5, 200});
   ASSERT_GE(run.levels.size(), 3u);
   EXPECT_EQ(run.levels.front().device, "SandyBridgeCPU");
-  EXPECT_EQ(run.levels.front().outcome.direction, bfs::Direction::kTopDown);
+  EXPECT_EQ(run.levels.front().direction, bfs::Direction::kTopDown);
   EXPECT_EQ(run.levels.back().device, "KeplerK20xGPU");
 }
 
@@ -50,7 +50,7 @@ TEST(CrossArch, NeverReturnsToHost) {
   const CombinationRun run =
       run_cross_arch(f.g, f.root, f.cpu, f.gpu, f.link, {20, 30}, {5, 200});
   bool left_host = false;
-  for (const ExecutedLevel& lvl : run.levels) {
+  for (const obs::LevelEvent& lvl : run.levels) {
     if (lvl.device == "KeplerK20xGPU") left_host = true;
     if (left_host) EXPECT_EQ(lvl.device, "KeplerK20xGPU");
   }
@@ -73,9 +73,9 @@ TEST(CrossArch, AccelSwitchesBackToTopDownAtTheEnd) {
   const CombinationRun run =
       run_cross_arch(f.g, f.root, f.cpu, f.gpu, f.link, {20, 30}, {14, 24});
   ASSERT_GE(run.levels.size(), 4u);
-  const ExecutedLevel& last = run.levels.back();
+  const obs::LevelEvent& last = run.levels.back();
   EXPECT_EQ(last.device, "KeplerK20xGPU");
-  EXPECT_EQ(last.outcome.direction, bfs::Direction::kTopDown);
+  EXPECT_EQ(last.direction, bfs::Direction::kTopDown);
 }
 
 TEST(CrossArch, BuOnlyVariantNeverRunsTopDownOnAccel) {
@@ -83,9 +83,9 @@ TEST(CrossArch, BuOnlyVariantNeverRunsTopDownOnAccel) {
   const CombinationRun run =
       run_cross_arch_bu_only(f.g, f.root, f.cpu, f.gpu, f.link, {20, 30});
   EXPECT_TRUE(bfs::validate_bfs(f.g, f.root, run.result).ok);
-  for (const ExecutedLevel& lvl : run.levels) {
+  for (const obs::LevelEvent& lvl : run.levels) {
     if (lvl.device == "KeplerK20xGPU") {
-      EXPECT_EQ(lvl.outcome.direction, bfs::Direction::kBottomUp);
+      EXPECT_EQ(lvl.direction, bfs::Direction::kBottomUp);
     }
   }
 }
@@ -110,7 +110,7 @@ TEST(CrossArch, HandoffNeverTriggeredStaysOnHost) {
   const CombinationRun run = run_cross_arch(f.g, f.root, f.cpu, f.gpu, f.link,
                                             always_top_down(), {14, 24});
   EXPECT_DOUBLE_EQ(run.transfer_seconds, 0.0);
-  for (const ExecutedLevel& lvl : run.levels) {
+  for (const obs::LevelEvent& lvl : run.levels) {
     EXPECT_EQ(lvl.device, "SandyBridgeCPU");
   }
 }

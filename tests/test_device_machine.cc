@@ -7,52 +7,54 @@
 #include <stdexcept>
 
 #include "bfs/validate.h"
+#include "core/adaptive_bfs.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 
 namespace bfsx::sim {
 namespace {
 
-using bfs::BfsState;
 using graph::build_csr;
 
 TEST(Device, TopDownLevelAdvancesStateAndCharges) {
   const graph::CsrGraph g = build_csr(graph::make_star(50));
   const Device cpu{make_sandy_bridge_cpu()};
-  BfsState state(g, 0);
-  const LevelOutcome out = cpu.run_top_down_level(g, state);
+  const core::CombinationRun run =
+      core::run_pure(g, 0, cpu, bfs::Direction::kTopDown);
+  const obs::LevelEvent& out = run.levels.front();
   EXPECT_EQ(out.direction, bfs::Direction::kTopDown);
   EXPECT_EQ(out.level, 0);
   EXPECT_EQ(out.frontier_vertices, 1);
   EXPECT_EQ(out.frontier_edges, 49);
   EXPECT_EQ(out.next_vertices, 49);
-  EXPECT_GT(out.seconds, 0.0);
-  EXPECT_DOUBLE_EQ(out.seconds, cpu.top_down_cost(49));
-  EXPECT_EQ(state.reached, 50);
+  EXPECT_GT(out.compute_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(out.compute_seconds, cpu.top_down_cost(49));
+  EXPECT_EQ(run.result.reached, 50);
 }
 
 TEST(Device, BottomUpLevelChargesHitMissSplit) {
   const graph::CsrGraph g = build_csr(graph::make_path(4));
   const Device gpu{make_kepler_gpu()};
-  BfsState state(g, 0);
-  const LevelOutcome out = gpu.run_bottom_up_level(g, state);
+  const core::CombinationRun run =
+      core::run_pure(g, 0, gpu, bfs::Direction::kBottomUp);
+  const obs::LevelEvent& out = run.levels.front();
   EXPECT_EQ(out.direction, bfs::Direction::kBottomUp);
   EXPECT_EQ(out.bu_edges_hit, 1);
   EXPECT_EQ(out.bu_edges_miss, 3);
-  EXPECT_DOUBLE_EQ(out.seconds,
+  EXPECT_DOUBLE_EQ(out.compute_seconds,
                    gpu.bottom_up_cost(g.num_vertices(), 1, 3));
 }
 
 TEST(Device, FullTraversalViaLevelsIsValid) {
   const graph::CsrGraph g = build_csr(graph::make_binary_tree(200));
   const Device dev{make_knights_corner_mic()};
-  BfsState state(g, 0);
+  const core::CombinationRun run =
+      core::run_pure(g, 0, dev, bfs::Direction::kTopDown);
   double total = 0.0;
-  while (!state.frontier_empty()) {
-    total += dev.run_top_down_level(g, state).seconds;
+  for (const obs::LevelEvent& level : run.levels) {
+    total += level.compute_seconds;
   }
-  const bfs::BfsResult r = std::move(state).take_result(g);
-  EXPECT_TRUE(bfs::validate_bfs(g, 0, r).ok);
+  EXPECT_TRUE(bfs::validate_bfs(g, 0, run.result).ok);
   EXPECT_GT(total, 0.0);
 }
 

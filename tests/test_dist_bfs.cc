@@ -107,7 +107,7 @@ TEST(DistBfs, SingleDeviceMatchesSingleArchCombination) {
   EXPECT_EQ(dist.comm_seconds, 0.0);
   ASSERT_EQ(dist.levels.size(), single.levels.size());
   for (std::size_t i = 0; i < dist.levels.size(); ++i) {
-    EXPECT_EQ(dist.levels[i].direction, single.levels[i].outcome.direction);
+    EXPECT_EQ(dist.levels[i].direction, single.levels[i].direction);
   }
   EXPECT_NEAR(dist.seconds, single.seconds, single.seconds * 1e-9);
   EXPECT_EQ(dist.direction_switches, single.direction_switches);
@@ -132,11 +132,11 @@ TEST(DistBfs, AggregatedCountersReproduceGlobalDirectionSequence) {
         opts);
     ASSERT_EQ(run.levels.size(), single.levels.size());
     for (std::size_t i = 0; i < run.levels.size(); ++i) {
-      EXPECT_EQ(run.levels[i].direction, single.levels[i].outcome.direction);
+      EXPECT_EQ(run.levels[i].direction, single.levels[i].direction);
       EXPECT_EQ(run.levels[i].frontier_vertices,
-                single.levels[i].outcome.frontier_vertices);
+                single.levels[i].frontier_vertices);
       EXPECT_EQ(run.levels[i].frontier_edges,
-                single.levels[i].outcome.frontier_edges);
+                single.levels[i].frontier_edges);
     }
   }
 }

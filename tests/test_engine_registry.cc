@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
+#include "graph500/reference_bfs.h"
 #include "obs/sink.h"
 
 namespace bfsx::graph500 {
@@ -151,7 +157,8 @@ TEST(EngineRegistry, CrossEngineLevelCountersAgree) {
   const graph::vid_t root = graph::sample_roots(g, 1, 5)[0];
 
   const std::vector<std::string> engines = {
-      "td", "bu", "hybrid", "cross", "dist", "native-td", "native-hybrid"};
+      "td",   "bu",        "ref",       "hybrid",       "cross",
+      "dist", "native-td", "native-bu", "native-hybrid"};
   std::vector<std::vector<obs::LevelEvent>> traces;
   for (const std::string& name : engines) {
     obs::MemorySink sink;
@@ -179,6 +186,72 @@ TEST(EngineRegistry, CrossEngineLevelCountersAgree) {
           << engines[e] << " level " << lvl;
     }
   }
+}
+
+/// Every single-source engine — simulated, reference, cross-
+/// architecture, distributed or wall-clock — runs the one level loop
+/// (bfs/traverse.h), so each must return the same tree: the reference
+/// levels, one parent map and one component size, on symmetric and
+/// directed graphs, at any team width. Each run_end must also agree
+/// with the run's own level events on depth and direction switches.
+TEST(EngineRegistry, EverySingleSourceEngineReturnsTheSameTree) {
+  const EngineRegistry registry = EngineRegistry::with_builtin_engines();
+  const std::vector<std::string> engines = {
+      "td",   "bu",        "ref",       "hybrid",       "cross",
+      "dist", "native-td", "native-bu", "native-hybrid"};
+  graph::RmatParams p;
+  p.scale = 12;
+  p.seed = 3;
+  const std::vector<graph::CsrGraph> graphs = {
+      graph::build_csr(graph::generate_rmat(p)),
+      graph::build_directed_csr(graph::generate_rmat(p))};
+
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (const int threads : {1, 4}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    for (const graph::CsrGraph& g : graphs) {
+      for (const graph::vid_t root : graph::sample_roots(g, 4, 7)) {
+        const bfs::BfsResult want = reference_bfs(g, root);
+        std::vector<graph::vid_t> parent;
+        for (const std::string& name : engines) {
+          const std::string where =
+              name + (g.is_symmetric() ? " symmetric" : " directed") +
+              " root " + std::to_string(root) + " threads " +
+              std::to_string(threads);
+          obs::MemorySink sink;
+          EngineConfig cfg;
+          cfg.sink = &sink;
+          const TimedBfs got = registry.make_engine(name, cfg)(g, root);
+          EXPECT_EQ(got.result.level, want.level) << where;
+          EXPECT_EQ(got.result.edges_in_component, want.edges_in_component)
+              << where;
+          if (parent.empty()) {
+            parent = got.result.parent;
+          } else {
+            EXPECT_EQ(got.result.parent, parent) << where;
+          }
+
+          ASSERT_EQ(sink.run_ends.size(), 1u) << where;
+          const std::vector<obs::LevelEvent> levels = sink.levels_of_run(0);
+          int changes = 0;
+          for (std::size_t i = 1; i < levels.size(); ++i) {
+            changes += levels[i].direction != levels[i - 1].direction ? 1 : 0;
+          }
+          EXPECT_EQ(sink.run_ends[0].depth,
+                    static_cast<std::int32_t>(levels.size()))
+              << where;
+          EXPECT_EQ(sink.run_ends[0].direction_switches, changes) << where;
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
 }
 
 /// The cross-architecture engine reports its frontier shipment as an

@@ -156,9 +156,9 @@ TEST(BeamerExecutor, DefaultsUseBothDirectionsOnRmat) {
       core::run_combination_beamer(g, root, cpu, {14, 24});
   bool saw_td = false;
   bool saw_bu = false;
-  for (const core::ExecutedLevel& lvl : run.levels) {
-    saw_td |= lvl.outcome.direction == bfs::Direction::kTopDown;
-    saw_bu |= lvl.outcome.direction == bfs::Direction::kBottomUp;
+  for (const obs::LevelEvent& lvl : run.levels) {
+    saw_td |= lvl.direction == bfs::Direction::kTopDown;
+    saw_bu |= lvl.direction == bfs::Direction::kBottomUp;
   }
   EXPECT_TRUE(saw_td);
   EXPECT_TRUE(saw_bu);

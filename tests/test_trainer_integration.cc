@@ -8,6 +8,7 @@
 #include "core/api.h"
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
+#include "obs/sink.h"
 
 namespace bfsx::core {
 namespace {
@@ -131,12 +132,20 @@ TEST(Pipeline, RunAdaptiveSingleEndToEnd) {
   const graph::CsrGraph g = graph::build_csr(graph::generate_rmat(p));
   const graph::vid_t root = graph::sample_roots(g, 1, 5)[0];
   const sim::Device gpu{sim::make_kepler_gpu()};
+  obs::MemorySink sink;
   const CombinationRun run =
-      run_adaptive_single(g, root, features_from_rmat(p), gpu, pred);
+      run_adaptive_single(g, root, features_from_rmat(p), gpu, pred, &sink);
   EXPECT_TRUE(bfs::validate_bfs(g, root, run.result).ok);
-  for (const ExecutedLevel& lvl : run.levels) {
+  for (const obs::LevelEvent& lvl : run.levels) {
     EXPECT_EQ(lvl.device, "KeplerK20xGPU");
   }
+  // The sink sees the whole run: one bracket, one event per level.
+  EXPECT_EQ(sink.run_begins.size(), 1u);
+  EXPECT_EQ(sink.levels.size(), run.levels.size());
+  EXPECT_EQ(sink.levels_of_run(0).size(), run.levels.size());
+  ASSERT_EQ(sink.run_ends.size(), 1u);
+  EXPECT_EQ(sink.run_ends[0].depth,
+            static_cast<std::int32_t>(run.levels.size()));
 }
 
 TEST(Trainer, LabelConfigurationCrossUsesLink) {
