@@ -1,10 +1,10 @@
 // Capacity planner — "should I buy the accelerator?"
 //
-// Shows the what-if workflow the simulator + predictors enable: model a
+// Shows the what-if workflow the simulator + tuner enable: model a
 // hypothetical device as a key=value string (sim/arch_config.h), check
-// its roofline balance for BFS, and ask the trained TimePredictor
-// whether pairing it with the CPU host would beat the devices you
-// already have — all without touching hardware.
+// its roofline balance for BFS, and ask the exhaustive oracle whether
+// pairing it with the CPU host would beat the devices you already
+// have — all without touching hardware.
 //
 // Usage: ./examples/capacity_planner ["base=gpu,name=NextGen,..."]
 #include <cstdio>

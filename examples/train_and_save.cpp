@@ -12,7 +12,6 @@
 #include "core/tuner.h"
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
-#include "ml/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace bfsx;
@@ -20,7 +19,7 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : std::string("bfsx_switch_model.txt");
 
   // Step 1-2 of Fig. 6: exhaustive-search labelling over the training
-  // configurations (36 graphs x 4 architecture pairs = 144 samples).
+  // configurations (36 graphs x 5 architecture pairs = 180 samples).
   std::printf("generating training data (this is the one-time cost the "
               "paper amortises)...\n");
   const core::TrainerConfig cfg = core::default_trainer_config();

@@ -34,23 +34,4 @@ namespace bfsx::core {
     const GraphFeatures& features, const sim::Device& device,
     const SwitchPredictor& predictor, obs::TraceSink* sink = nullptr);
 
-/// Extension beyond the paper: rank the machine's accelerators by
-/// predicted runtime (TimePredictor) and return the index of the best
-/// one for this graph. Throws std::invalid_argument when the machine
-/// has no accelerators.
-[[nodiscard]] std::size_t select_accelerator(const GraphFeatures& features,
-                                             const sim::Machine& machine,
-                                             const TimePredictor& times);
-
-/// Algorithm 3 with the accelerator ALSO chosen at runtime: predict the
-/// runtime of each (host, accelerator) pairing, pick the winner, then
-/// run the adaptive cross-architecture combination on it.
-[[nodiscard]] CombinationRun run_adaptive_auto(const graph::CsrGraph& g,
-                                               graph::vid_t root,
-                                               const GraphFeatures& features,
-                                               const sim::Machine& machine,
-                                               const SwitchPredictor& predictor,
-                                               const TimePredictor& times,
-                                               obs::TraceSink* sink = nullptr);
-
 }  // namespace bfsx::core

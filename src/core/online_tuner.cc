@@ -32,7 +32,7 @@ HybridPolicy OnlineTuner::next_probe() {
   if (done()) throw std::logic_error("OnlineTuner: schedule exhausted");
   // Low-discrepancy-ish draws: SplitMix keyed by (seed, round, probe)
   // in log space over the current box.
-  graph::SplitMix64 sm(rng_state_ + 1099511628211ULL *
+  graph::SplitMix64 sm(rng_state_ + std::uint64_t{1099511628211} *
                                         static_cast<std::uint64_t>(
                                             probe_in_round_ + 31 * round_));
   const double u =

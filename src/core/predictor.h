@@ -38,13 +38,6 @@ class SwitchPredictor {
   void save_file(const std::string& path) const;
   static SwitchPredictor load_file(const std::string& path);
 
-  [[nodiscard]] const ml::SvrModel& m_model() const noexcept {
-    return m_model_;
-  }
-  [[nodiscard]] const ml::SvrModel& n_model() const noexcept {
-    return n_model_;
-  }
-
  private:
   ml::SvrModel m_model_;
   ml::SvrModel n_model_;

@@ -1,6 +1,5 @@
 #include "core/trainer.h"
 
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -48,8 +47,8 @@ TrainerConfig default_trainer_config() {
       {cpu, mic},  // the MIC-accelerated variant (Fig. 9's comparison)
   };
   // 36 graphs x 5 pairs = 180 samples, a shade above the paper's
-  // "N = 140" regime so the accelerator auto-selection extension sees
-  // both (host, accelerator) pairings in training.
+  // "N = 140" regime: the CPU+MIC cross pair is Fig. 9's comparison,
+  // so the models see both (host, accelerator) pairings in training.
   return cfg;
 }
 
@@ -76,7 +75,6 @@ struct LabelledRow {
   std::vector<double> sample;
   double m = 0.0;
   double n = 0.0;
-  double log_seconds = 0.0;
 };
 
 /// The per-graph unit of work: generate, build, trace once, then label
@@ -100,7 +98,6 @@ std::vector<LabelledRow> label_graph(const graph::RmatParams& params,
     row.sample = build_sample(gf, pair.td, pair.bu);
     row.m = best.policy.m;
     row.n = best.policy.n;
-    row.log_seconds = std::log10(best.seconds);
     rows.push_back(std::move(row));
   }
   return rows;
@@ -113,48 +110,34 @@ TrainingData generate_training_data(const TrainerConfig& cfg) {
   std::vector<std::vector<LabelledRow>> per_graph(
       static_cast<std::size_t>(num_graphs));
 
-  if (cfg.parallel_labeling) {
-    // Each iteration writes only its own slot; the graph build and the
-    // kernels it calls parallelise internally, but nested regions
-    // serialise under an active outer team, so the per-graph results —
-    // deterministic by design at any thread count — are unchanged.
-    // omp-lint: allow(shared-write) per_graph slots are disjoint per
-    //           iteration (indexed by the loop variable)
+  // Each iteration writes only its own slot; the graph build and the
+  // kernels it calls parallelise internally, but nested regions
+  // serialise under an active outer team, so the per-graph results —
+  // deterministic by design at any thread count — are unchanged.
+  // omp-lint: allow(shared-write) per_graph slots are disjoint per
+  //           iteration (indexed by the loop variable)
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::int64_t gi = 0; gi < num_graphs; ++gi) {
-      per_graph[static_cast<std::size_t>(gi)] =
-          label_graph(cfg.graphs[static_cast<std::size_t>(gi)], cfg);
-    }
-  } else {
-    for (std::int64_t gi = 0; gi < num_graphs; ++gi) {
-      per_graph[static_cast<std::size_t>(gi)] =
-          label_graph(cfg.graphs[static_cast<std::size_t>(gi)], cfg);
-    }
+  for (std::int64_t gi = 0; gi < num_graphs; ++gi) {
+    per_graph[static_cast<std::size_t>(gi)] =
+        label_graph(cfg.graphs[static_cast<std::size_t>(gi)], cfg);
   }
 
   // Fold in (graph, arch-pair) order: the datasets are row-for-row
-  // identical to the serial pass regardless of completion order.
+  // identical at every thread count regardless of completion order.
   TrainingData data;
   for (std::vector<LabelledRow>& rows : per_graph) {
     for (LabelledRow& row : rows) {
       data.m_data.add(row.sample, row.m);
-      data.n_data.add(row.sample, row.n);
-      data.t_data.add(std::move(row.sample), row.log_seconds);
+      data.n_data.add(std::move(row.sample), row.n);
     }
   }
   return data;
 }
 
-SwitchPredictor train_predictor(const TrainingData& data,
-                                const ml::SvrParams& svr) {
-  ml::SvrModel m_model = ml::SvrModel::fit(data.m_data, svr);
-  ml::SvrModel n_model = ml::SvrModel::fit(data.n_data, svr);
+SwitchPredictor train_predictor(const TrainingData& data) {
+  ml::SvrModel m_model = ml::SvrModel::fit(data.m_data);
+  ml::SvrModel n_model = ml::SvrModel::fit(data.n_data);
   return SwitchPredictor(std::move(m_model), std::move(n_model));
-}
-
-TimePredictor train_time_predictor(const TrainingData& data,
-                                   const ml::SvrParams& svr) {
-  return TimePredictor(ml::SvrModel::fit(data.t_data, svr));
 }
 
 }  // namespace bfsx::core

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/predictor.h"
-#include "core/time_predictor.h"
 #include "core/tuner.h"
 #include "graph/rmat.h"
 #include "ml/dataset.h"
@@ -35,39 +34,28 @@ struct TrainerConfig {
   SwitchCandidates candidates = SwitchCandidates::paper_grid();
   /// Root used for the per-configuration instrumented traversal.
   std::uint64_t root_seed = 42;
-  /// Label graphs across OpenMP workers (`trainer --batch=parallel`).
-  /// Each graph's generate/build/trace/label chain is independent;
-  /// per-graph samples are collected into indexed slots and folded in
-  /// graph order, so the produced datasets are bit-identical to the
-  /// serial pass for every OMP_NUM_THREADS.
-  bool parallel_labeling = false;
-  ml::SvrParams svr;
 };
 
-/// ~140 samples at container-friendly scales (SCALE 11-14), mirroring
-/// the paper's 140-sample training set: 3 scales x 3 edgefactors x
-/// 2 Kronecker parameter sets x 2 seeds x 4 architecture pairs.
+/// 180 samples at container-friendly scales (SCALE 11-13), near the
+/// paper's 140-sample training set: 3 scales x 3 edgefactors x
+/// 2 Kronecker parameter sets x 2 seeds x 5 architecture pairs.
 [[nodiscard]] TrainerConfig default_trainer_config();
 
 struct TrainingData {
   ml::Dataset m_data;  // target: best M
   ml::Dataset n_data;  // target: best N
-  /// target: log10(seconds) of the tuned combination — fuels the
-  /// TimePredictor extension (accelerator auto-selection).
-  ml::Dataset t_data;
 };
 
 /// Fig. 6 steps 1-2: the expensive exhaustive-search labelling pass.
+/// Graphs are labelled across OpenMP workers; each graph's
+/// generate/build/trace/label chain is independent and its rows are
+/// folded in graph order, so the datasets are bit-identical for every
+/// OMP_NUM_THREADS.
 [[nodiscard]] TrainingData generate_training_data(const TrainerConfig& cfg);
 
-/// Fig. 6 step 3.
-[[nodiscard]] SwitchPredictor train_predictor(const TrainingData& data,
-                                              const ml::SvrParams& svr = {});
-
-/// Fits the runtime model on the same labelled data (see
-/// core/time_predictor.h).
-[[nodiscard]] TimePredictor train_time_predictor(const TrainingData& data,
-                                                 const ml::SvrParams& svr = {});
+/// Fig. 6 step 3, with the default ε-SVR parameters (RBF kernel,
+/// C = 10, ε = 0.1, γ = 1/|features|).
+[[nodiscard]] SwitchPredictor train_predictor(const TrainingData& data);
 
 /// Labels one configuration: the exhaustively-best policy for
 /// traversing `trace` with top-down on `pair.td` / bottom-up on

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/prng.h"
-
 namespace bfsx::core {
 
 std::vector<double> SwitchCandidates::log_spaced(double lo, double hi,
@@ -72,49 +70,9 @@ CandidateSweep sweep_cross(const LevelTrace& trace, const sim::ArchSpec& host,
   });
 }
 
-CandidateSweep sweep_single_multi(std::span<const LevelTrace> traces,
-                                  const sim::ArchSpec& arch,
-                                  const SwitchCandidates& candidates) {
-  if (traces.empty()) {
-    throw std::invalid_argument("sweep_single_multi: no traces");
-  }
-  return sweep_impl(candidates, [&](const HybridPolicy& p) {
-    double total = 0.0;
-    for (const LevelTrace& t : traces) total += replay_single(t, arch, p);
-    return total;
-  });
-}
-
-CandidateSweep sweep_cross_multi(std::span<const LevelTrace> traces,
-                                 const sim::ArchSpec& host,
-                                 const sim::ArchSpec& accel,
-                                 const sim::InterconnectSpec& link,
-                                 const SwitchCandidates& candidates,
-                                 const HybridPolicy& accel_policy) {
-  if (traces.empty()) {
-    throw std::invalid_argument("sweep_cross_multi: no traces");
-  }
-  return sweep_impl(candidates, [&](const HybridPolicy& p) {
-    double total = 0.0;
-    for (const LevelTrace& t : traces) {
-      total += replay_cross(t, host, accel, link, p, accel_policy);
-    }
-    return total;
-  });
-}
-
 TunedPolicy pick_best(const CandidateSweep& sweep,
                       const SwitchCandidates& candidates) {
   return {candidates.at(sweep.best_index), sweep.best_seconds()};
-}
-
-TunedPolicy pick_random(const CandidateSweep& sweep,
-                        const SwitchCandidates& candidates,
-                        std::uint64_t seed) {
-  graph::Xoshiro256ss rng(seed);
-  const auto i = static_cast<std::size_t>(
-      rng.next_bounded(static_cast<std::uint64_t>(candidates.size())));
-  return {candidates.at(i), sweep.seconds[i]};
 }
 
 }  // namespace bfsx::core

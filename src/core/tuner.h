@@ -1,10 +1,8 @@
-// Switching-point selection strategies — the four methods the paper
-// compares in Fig. 8 (Random, Average, Regression, Exhaustive) plus the
-// candidate grid they draw from.
+// Switching-point search: the candidate grid, every candidate priced
+// against a trace, and the exhaustive pick — the training labels and
+// the Average and Exhaustive bars of the paper's Fig. 8.
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/level_trace.h"
@@ -44,7 +42,7 @@ struct TunedPolicy {
 };
 
 /// Every candidate priced against a trace: the raw material for the
-/// Random / Average / Exhaustive comparison. Entry i corresponds to
+/// Average / Exhaustive comparison. Entry i corresponds to
 /// candidates.at(i).
 struct CandidateSweep {
   std::vector<double> seconds;
@@ -72,29 +70,10 @@ struct CandidateSweep {
                                          const SwitchCandidates& candidates,
                                          const HybridPolicy& accel_policy);
 
-/// Multi-root variants: price each candidate by the SUM over several
-/// traces of the same graph (different roots). The Graph 500 protocol
-/// times 64 roots per graph, and the best expected policy is not
-/// necessarily the best policy of any single root — root eccentricity
-/// shifts where the frontier peaks.
-[[nodiscard]] CandidateSweep sweep_single_multi(
-    std::span<const LevelTrace> traces, const sim::ArchSpec& arch,
-    const SwitchCandidates& candidates);
-
-[[nodiscard]] CandidateSweep sweep_cross_multi(
-    std::span<const LevelTrace> traces, const sim::ArchSpec& host,
-    const sim::ArchSpec& accel, const sim::InterconnectSpec& link,
-    const SwitchCandidates& candidates, const HybridPolicy& accel_policy);
-
 /// Exhaustive search (the paper's hybrid-oracle): best candidate of a
 /// sweep. This is the training-label generator and the Fig. 8
 /// "Exhaustive" bar.
 [[nodiscard]] TunedPolicy pick_best(const CandidateSweep& sweep,
                                     const SwitchCandidates& candidates);
-
-/// Uniform random pick (Fig. 8 "Random"), deterministic under `seed`.
-[[nodiscard]] TunedPolicy pick_random(const CandidateSweep& sweep,
-                                      const SwitchCandidates& candidates,
-                                      std::uint64_t seed);
 
 }  // namespace bfsx::core

@@ -5,10 +5,8 @@
 #include <cmath>
 #include <deque>
 #include <sstream>
-#include <stdexcept>
 
 #include "graph/bitmap.h"
-#include "graph/prng.h"
 
 namespace bfsx::graph {
 
@@ -91,27 +89,7 @@ ComponentStats compute_components(const CsrGraph& g) {
 
 std::vector<vid_t> sample_roots(const CsrGraph& g, int count,
                                 std::uint64_t seed) {
-  if (count < 0) throw std::invalid_argument("sample_roots: count < 0");
-  const vid_t n = g.num_vertices();
-  Xoshiro256ss rng(seed);
-  std::vector<vid_t> roots;
-  roots.reserve(static_cast<std::size_t>(count));
-  // Graph 500 draws roots uniformly and rejects degree-0 vertices. Bound
-  // the rejection loop so a pathological (all-isolated) graph still
-  // terminates with a clear error.
-  const std::size_t max_attempts =
-      64 * static_cast<std::size_t>(count) + 1024;
-  std::size_t attempts = 0;
-  while (roots.size() < static_cast<std::size_t>(count)) {
-    if (++attempts > max_attempts) {
-      throw std::runtime_error(
-          "sample_roots: could not find enough non-isolated vertices");
-    }
-    const auto v =
-        static_cast<vid_t>(rng.next_bounded(static_cast<std::uint64_t>(n)));
-    if (g.out_degree(v) > 0) roots.push_back(v);
-  }
-  return roots;
+  return sample_view_roots(CsrGraphView(g), count, seed);
 }
 
 std::vector<vid_t> top_out_degree_vertices(const CsrGraph& g,

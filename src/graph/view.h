@@ -185,9 +185,11 @@ template <GraphView V>
 }
 
 /// Graph 500 root sampling over any view: uniform draws, degree-0
-/// rejections, identical algorithm (and identical RNG stream) to
-/// graph::sample_roots on CSR — the same seed picks the same roots on a
-/// view and on its materialized CsrGraph.
+/// rejections. graph::sample_roots forwards here through CsrGraphView,
+/// so the same seed picks the same roots on a view and on its
+/// materialized CsrGraph. The rejection loop is bounded so a
+/// pathological (all-isolated) graph still terminates with a clear
+/// error.
 template <GraphView V>
 [[nodiscard]] std::vector<vid_t> sample_view_roots(const V& g, int count,
                                                    std::uint64_t seed) {

@@ -1,11 +1,9 @@
 #include "ml/dataset.h"
 
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/prng.h"
 
@@ -109,35 +107,6 @@ SplitResult train_test_split(const Dataset& data, double train_fraction,
     dst.add(data.x[idx[k]], data.y[idx[k]]);
   }
   return r;
-}
-
-void write_csv(std::ostream& os, const Dataset& data) {
-  data.validate();
-  os.precision(17);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    for (double v : data.x[i]) os << v << ',';
-    os << data.y[i] << '\n';
-  }
-}
-
-Dataset read_csv(std::istream& is) {
-  Dataset data;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::vector<double> fields;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      fields.push_back(std::stod(cell));
-    }
-    if (fields.empty()) continue;
-    const double target = fields.back();
-    fields.pop_back();
-    data.add(std::move(fields), target);
-  }
-  data.validate();
-  return data;
 }
 
 }  // namespace bfsx::ml

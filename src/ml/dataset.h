@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -68,9 +67,5 @@ struct SplitResult {
 [[nodiscard]] SplitResult train_test_split(const Dataset& data,
                                            double train_fraction,
                                            std::uint64_t seed);
-
-/// CSV persistence: one row per sample, features then target last.
-void write_csv(std::ostream& os, const Dataset& data);
-[[nodiscard]] Dataset read_csv(std::istream& is);
 
 }  // namespace bfsx::ml

@@ -1,6 +1,5 @@
 #include "ml/metrics.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace bfsx::ml {
@@ -22,16 +21,6 @@ double mean_squared_error(std::span<const double> truth,
   for (std::size_t i = 0; i < truth.size(); ++i) {
     const double d = truth[i] - pred[i];
     sum += d * d;
-  }
-  return sum / static_cast<double>(truth.size());
-}
-
-double mean_absolute_error(std::span<const double> truth,
-                           std::span<const double> pred) {
-  check(truth, pred);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    sum += std::abs(truth[i] - pred[i]);
   }
   return sum / static_cast<double>(truth.size());
 }

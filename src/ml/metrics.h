@@ -9,10 +9,6 @@ namespace bfsx::ml {
 [[nodiscard]] double mean_squared_error(std::span<const double> truth,
                                         std::span<const double> pred);
 
-/// Mean absolute error.
-[[nodiscard]] double mean_absolute_error(std::span<const double> truth,
-                                         std::span<const double> pred);
-
 /// Coefficient of determination R^2 (1 = perfect; 0 = no better than
 /// predicting the mean; can be negative).
 [[nodiscard]] double r_squared(std::span<const double> truth,

@@ -97,28 +97,6 @@ SvrModel load_svr(std::istream& is) {
   return SvrModel::from_parts(std::move(p));
 }
 
-void save_ridge(std::ostream& os, const RidgeModel& model) {
-  os.precision(17);
-  os << kMagic << ' ' << kVersion << " ridge\n";
-  write_vector(os, model.standardizer().means());
-  write_vector(os, model.standardizer().stddevs());
-  write_vector(os, model.weights());
-  os << model.intercept() << '\n';
-  if (!os) throw std::runtime_error("save_ridge: write failure");
-}
-
-RidgeModel load_ridge(std::istream& is) {
-  expect_header(is, "ridge");
-  std::vector<double> means = read_vector(is);
-  std::vector<double> stddevs = read_vector(is);
-  std::vector<double> weights = read_vector(is);
-  double intercept = 0.0;
-  if (!(is >> intercept)) throw std::runtime_error("load_ridge: truncated");
-  return RidgeModel::from_parts(
-      Standardizer::from_moments(std::move(means), std::move(stddevs)),
-      std::move(weights), intercept);
-}
-
 void save_svr_file(const std::string& path, const SvrModel& model) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("save_svr_file: cannot open " + path);

@@ -13,16 +13,12 @@
 #include <iosfwd>
 #include <string>
 
-#include "ml/linreg.h"
 #include "ml/svr.h"
 
 namespace bfsx::ml {
 
 void save_svr(std::ostream& os, const SvrModel& model);
 [[nodiscard]] SvrModel load_svr(std::istream& is);
-
-void save_ridge(std::ostream& os, const RidgeModel& model);
-[[nodiscard]] RidgeModel load_ridge(std::istream& is);
 
 /// File-path conveniences; throw std::runtime_error on I/O failure.
 void save_svr_file(const std::string& path, const SvrModel& model);

@@ -256,6 +256,13 @@ double SvrModel::predict(std::span<const double> sample) const {
   return f * y_scale_ + y_mean_;
 }
 
+std::vector<double> SvrModel::predict_all(const Dataset& data) const {
+  std::vector<double> out;
+  out.reserve(data.size());
+  for (const auto& row : data.x) out.push_back(predict(row));
+  return out;
+}
+
 SvrModel::Parts SvrModel::to_parts() const {
   Parts p;
   p.kernel = kernel_;

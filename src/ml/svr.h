@@ -15,9 +15,11 @@
 // solves the two-variable subproblem analytically.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "ml/dataset.h"
 #include "ml/kernel.h"
-#include "ml/regressor.h"
 
 namespace bfsx::ml {
 
@@ -40,7 +42,7 @@ struct SvrTrainInfo {
   int support_vectors = 0;
 };
 
-class SvrModel final : public Regressor {
+class SvrModel {
  public:
   /// Fits on raw samples; standardisation of features is internal.
   /// Targets are also centred/scaled internally so `epsilon` acts on a
@@ -49,13 +51,15 @@ class SvrModel final : public Regressor {
   static SvrModel fit(const Dataset& data, const SvrParams& params = {},
                       SvrTrainInfo* info = nullptr);
 
-  [[nodiscard]] double predict(std::span<const double> sample) const override;
-  [[nodiscard]] const char* kind() const noexcept override {
-    return kernel_.type == KernelType::kRbf ? "svr-rbf" : "svr-linear";
-  }
+  /// Predicts the target for one raw (unstandardised) sample.
+  [[nodiscard]] double predict(std::span<const double> sample) const;
 
-  [[nodiscard]] int num_support_vectors() const noexcept {
-    return static_cast<int>(sv_.size());
+  /// predict() over every row of `data`, in row order.
+  [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
+
+  /// "svr-rbf" or "svr-linear".
+  [[nodiscard]] const char* kind() const noexcept {
+    return kernel_.type == KernelType::kRbf ? "svr-rbf" : "svr-linear";
   }
 
   // ---- serialisation support (see model_io.h) ------------------------

@@ -510,19 +510,11 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  args.check_known({"out", "batch"});
+  args.check_known({"out"});
   const std::string out = args.get_or("out", "bfsx_switch_model.txt");
-  const std::string batch = args.get_or("batch", "serial");
-  if (batch != "serial" && batch != "parallel") {
-    throw std::invalid_argument("--batch: expected serial or parallel, got '" +
-                                batch + "'");
-  }
-  core::TrainerConfig cfg = core::default_trainer_config();
-  cfg.parallel_labeling = batch == "parallel";
-  std::printf("labelling %zu configurations by exhaustive search (%s)...\n",
-              cfg.graphs.size() * cfg.arch_pairs.size(),
-              cfg.parallel_labeling ? "graphs across OpenMP workers"
-                                    : "serial");
+  const core::TrainerConfig cfg = core::default_trainer_config();
+  std::printf("labelling %zu configurations by exhaustive search...\n",
+              cfg.graphs.size() * cfg.arch_pairs.size());
   const core::TrainingData data = core::generate_training_data(cfg);
   const core::SwitchPredictor predictor = core::train_predictor(data);
   predictor.save_file(out);
@@ -697,7 +689,7 @@ int usage() {
       "  analyze   [--graph FILE | --scale N ...]   degree/component report\n"
       "  trace     [--graph FILE | --scale N ...] [--root R]   level-trace CSV\n"
       "  tune      [--graph FILE | --scale N ...] [--device ...]\n"
-      "  train     [--out FILE] [--batch serial|parallel]\n"
+      "  train     [--out FILE]\n"
       "  predict   --model FILE [--scale N ...] [--td-arch cpu] [--bu-arch gpu]\n"
       "  serve     --make-trace FILE [--queries N] [--hot-fraction F]\n"
       "            [--insert-every K --remove-every K --publish-every K]\n"

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/builder.h"
 #include "graph/rmat.h"
@@ -138,6 +140,52 @@ TEST(Predictor, SaveLoadRoundTrip) {
   const HybridPolicy b = back.predict(gf, gpu);
   EXPECT_DOUBLE_EQ(a.m, b.m);
   EXPECT_DOUBLE_EQ(a.n, b.n);
+}
+
+TEST(Predictor, SingleArchitectureOverloadUsesTheSamePair) {
+  const SwitchPredictor pred(ml::SvrModel::fit(synthetic_policy_data(false)),
+                             ml::SvrModel::fit(synthetic_policy_data(true)));
+  const GraphFeatures gf{4.0, 2 * 4 * 8.0, 0.57, 0.19, 0.19, 0.05};
+  const sim::ArchSpec mic = sim::make_knights_corner_mic();
+  const HybridPolicy single = pred.predict(gf, mic);
+  const HybridPolicy pair = pred.predict(gf, mic, mic);
+  EXPECT_EQ(single.m, pair.m);
+  EXPECT_EQ(single.n, pair.n);
+}
+
+TEST(Predictor, FileRoundTrip) {
+  const SwitchPredictor pred(ml::SvrModel::fit(synthetic_policy_data(false)),
+                             ml::SvrModel::fit(synthetic_policy_data(true)));
+  const std::string path = ::testing::TempDir() + "/bfsx_switch_predictor.txt";
+  pred.save_file(path);
+  const SwitchPredictor back = SwitchPredictor::load_file(path);
+  const GraphFeatures gf{1.0, 2 * 16.0, 0.57, 0.19, 0.19, 0.05};
+  const sim::ArchSpec cpu = sim::make_sandy_bridge_cpu();
+  const sim::ArchSpec gpu = sim::make_kepler_gpu();
+  const HybridPolicy a = pred.predict(gf, cpu, gpu);
+  const HybridPolicy b = back.predict(gf, cpu, gpu);
+  EXPECT_EQ(a.m, b.m);
+  EXPECT_EQ(a.n, b.n);
+}
+
+TEST(Predictor, FileHelpersThrowOnBadPath) {
+  const SwitchPredictor pred(ml::SvrModel::fit(synthetic_policy_data(false)),
+                             ml::SvrModel::fit(synthetic_policy_data(true)));
+  EXPECT_THROW(pred.save_file("/nonexistent-dir/m.txt"), std::runtime_error);
+  EXPECT_THROW((void)SwitchPredictor::load_file("/nonexistent-dir/m.txt"),
+               std::runtime_error);
+}
+
+TEST(Predictor, LoadRejectsAStreamWithOnlyTheMModel) {
+  // A predictor file holds the M model and then the N model; a file cut
+  // after the first must not load as a predictor.
+  std::stringstream full;
+  SwitchPredictor(ml::SvrModel::fit(synthetic_policy_data(false)),
+                  ml::SvrModel::fit(synthetic_policy_data(true)))
+      .save(full);
+  const std::string text = full.str();
+  std::stringstream m_only(text.substr(0, text.find("bfsx-model", 1)));
+  EXPECT_THROW((void)SwitchPredictor::load(m_only), std::runtime_error);
 }
 
 }  // namespace

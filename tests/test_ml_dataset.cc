@@ -1,12 +1,12 @@
-// Unit tests for Dataset, Standardizer, split, and CSV round trips.
+// Unit tests for Dataset, Standardizer and train/test split.
 #include "ml/dataset.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace bfsx::ml {
 namespace {
@@ -35,6 +35,20 @@ TEST(Dataset, ValidateCatchesMismatch) {
   Dataset d = tiny();
   d.y.pop_back();
   EXPECT_THROW(d.validate(), std::invalid_argument);
+}
+
+TEST(Dataset, ValidateCatchesRaggedRows) {
+  // Rows written directly, bypassing add()'s width check.
+  Dataset d = tiny();
+  d.x[1].push_back(0.0);
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+}
+
+TEST(Dataset, EmptyHasNoRowsOrFeatures) {
+  const Dataset d;
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_EQ(d.num_features(), 0u);
+  EXPECT_NO_THROW(d.validate());
 }
 
 TEST(Standardizer, ZeroMeanUnitVariance) {
@@ -72,6 +86,34 @@ TEST(Standardizer, FitRejectsEmpty) {
   EXPECT_THROW(Standardizer::fit(Dataset{}), std::invalid_argument);
 }
 
+TEST(Standardizer, TransformAllKeepsTargetsAndMatchesRowwise) {
+  const Dataset d = tiny();
+  const Standardizer s = Standardizer::fit(d);
+  const Dataset z = s.transform_all(d);
+  EXPECT_EQ(z.y, d.y);
+  ASSERT_EQ(z.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_EQ(z.x[i], s.transform(d.x[i])) << "row " << i;
+  }
+}
+
+TEST(Standardizer, FromMomentsReproducesTheFittedMap) {
+  // Model loading rebuilds the map from its stored moments; it must
+  // transform exactly as the fitted one did.
+  const Standardizer fitted = Standardizer::fit(tiny());
+  const Standardizer loaded =
+      Standardizer::from_moments(fitted.means(), fitted.stddevs());
+  const std::vector<double> q = {2.5, -4.0};
+  EXPECT_EQ(loaded.transform(q), fitted.transform(q));
+  EXPECT_EQ(loaded.means(), fitted.means());
+  EXPECT_EQ(loaded.stddevs(), fitted.stddevs());
+}
+
+TEST(Standardizer, FromMomentsRejectsMismatchedLengths) {
+  EXPECT_THROW(Standardizer::from_moments({0.0, 1.0}, {1.0}),
+               std::invalid_argument);
+}
+
 TEST(Split, PartitionsWithoutLossOrDuplication) {
   Dataset d;
   for (int i = 0; i < 100; ++i) d.add({static_cast<double>(i)}, i);
@@ -99,24 +141,32 @@ TEST(Split, IsDeterministicPerSeedAndShuffles) {
   EXPECT_FALSE(identity);
 }
 
+TEST(Split, KeepsEachRowWithItsTarget) {
+  Dataset d;
+  for (int i = 0; i < 40; ++i) {
+    d.add({static_cast<double>(i), -static_cast<double>(i)}, 10.0 * i);
+  }
+  const SplitResult r = train_test_split(d, 0.7, 19);
+  for (const Dataset* part : {&r.train, &r.test}) {
+    ASSERT_NO_THROW(part->validate());
+    for (std::size_t k = 0; k < part->size(); ++k) {
+      EXPECT_DOUBLE_EQ(part->x[k][1], -part->x[k][0]);
+      EXPECT_DOUBLE_EQ(part->y[k], 10.0 * part->x[k][0]);
+    }
+  }
+}
+
+TEST(Split, FractionEndpointsPutEveryRowOnOneSide) {
+  const SplitResult none = train_test_split(tiny(), 0.0, 4);
+  EXPECT_EQ(none.train.size(), 0u);
+  EXPECT_EQ(none.test.size(), 3u);
+  const SplitResult all = train_test_split(tiny(), 1.0, 4);
+  EXPECT_EQ(all.train.size(), 3u);
+  EXPECT_EQ(all.test.size(), 0u);
+}
+
 TEST(Split, RejectsBadFraction) {
   EXPECT_THROW(train_test_split(tiny(), 1.5, 1), std::invalid_argument);
-}
-
-TEST(Csv, RoundTripsExactly) {
-  const Dataset d = tiny();
-  std::stringstream ss;
-  write_csv(ss, d);
-  const Dataset back = read_csv(ss);
-  EXPECT_EQ(back.x, d.x);
-  EXPECT_EQ(back.y, d.y);
-}
-
-TEST(Csv, ReadSkipsBlankLines) {
-  std::stringstream ss("1,2,3\n\n4,5,6\n");
-  const Dataset d = read_csv(ss);
-  EXPECT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d.y[1], 6.0);
 }
 
 }  // namespace

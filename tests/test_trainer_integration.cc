@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "bfs/validate.h"
 #include "core/api.h"
 #include "graph/builder.h"
@@ -54,17 +62,69 @@ TEST(Trainer, LabelsAreReproducible) {
   EXPECT_EQ(a.n_data.y, b.n_data.y);
 }
 
+#ifdef _OPENMP
+// One thread labels the graphs serially; four label them across
+// workers while each graph's build and kernels sit inside the outer
+// team. This is the regression guard for the nested
+// `num_threads(workers)` sites (DESIGN §9): a site that chunks by a
+// team size it did not get drops work and changes the labels.
 TEST(Trainer, ParallelLabelingMatchesSerialBitExactly) {
-  TrainerConfig cfg = tiny_config();
-  cfg.parallel_labeling = false;
+  const TrainerConfig cfg = tiny_config();
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
   const TrainingData serial = generate_training_data(cfg);
-  cfg.parallel_labeling = true;
+  omp_set_num_threads(4);
   const TrainingData parallel = generate_training_data(cfg);
+  omp_set_num_threads(saved);
   EXPECT_EQ(serial.m_data.x, parallel.m_data.x);
   EXPECT_EQ(serial.m_data.y, parallel.m_data.y);
   EXPECT_EQ(serial.n_data.y, parallel.n_data.y);
-  EXPECT_EQ(serial.t_data.x, parallel.t_data.x);
-  EXPECT_EQ(serial.t_data.y, parallel.t_data.y);
+}
+#endif  // _OPENMP
+
+TEST(Trainer, LabelsLieOnTheCandidateGrid) {
+  const TrainerConfig cfg = tiny_config();
+  const TrainingData data = generate_training_data(cfg);
+  const std::vector<double>& ms = cfg.candidates.m_values;
+  const std::vector<double>& ns = cfg.candidates.n_values;
+  for (double m : data.m_data.y) {
+    EXPECT_NE(std::find(ms.begin(), ms.end(), m), ms.end()) << m;
+  }
+  for (double n : data.n_data.y) {
+    EXPECT_NE(std::find(ns.begin(), ns.end(), n), ns.end()) << n;
+  }
+}
+
+TEST(Trainer, RowsFollowGraphThenPairOrder) {
+  // Row g * |pairs| + k is graph g labelled on arch pair k, with the
+  // same Fig. 7 sample in both datasets.
+  const TrainerConfig cfg = tiny_config();
+  const TrainingData data = generate_training_data(cfg);
+  const std::size_t pairs = cfg.arch_pairs.size();
+  ASSERT_EQ(data.m_data.size(), cfg.graphs.size() * pairs);
+  for (std::size_t row = 0; row < data.m_data.size(); ++row) {
+    const ArchPair& pair = cfg.arch_pairs[row % pairs];
+    const std::vector<double> want = build_sample(
+        features_from_rmat(cfg.graphs[row / pairs]), pair.td, pair.bu);
+    EXPECT_EQ(data.m_data.x[row], want) << "row " << row;
+    EXPECT_EQ(data.n_data.x[row], want) << "row " << row;
+  }
+}
+
+TEST(Trainer, SingleArchitectureLabelIsTheExhaustiveBest) {
+  graph::RmatParams p;
+  p.scale = 11;
+  const graph::CsrGraph g = graph::build_csr(graph::generate_rmat(p));
+  const LevelTrace trace =
+      build_level_trace(g, graph::sample_roots(g, 1, 5)[0]);
+  const sim::ArchSpec gpu = sim::make_kepler_gpu();
+  const SwitchCandidates cands = SwitchCandidates::coarse_grid();
+  const TunedPolicy label =
+      label_configuration(trace, ArchPair{gpu, gpu}, sim::InterconnectSpec{},
+                          cands);
+  const CandidateSweep sweep = sweep_single(trace, gpu, cands);
+  EXPECT_EQ(label.policy, cands.at(sweep.best_index));
+  EXPECT_EQ(label.seconds, sweep.best_seconds());
 }
 
 TEST(Trainer, DefaultConfigIsPaperSized) {
@@ -102,6 +162,17 @@ TEST(Pipeline, TrainedPredictorIsNearExhaustiveOnHeldOutGraph) {
   EXPECT_GE(sweep.best_seconds() / predicted_seconds, 0.70);
   EXPECT_GE(predicted_seconds, sweep.best_seconds());
   EXPECT_LE(predicted_seconds, sweep.worst_seconds());
+}
+
+TEST(Pipeline, TrainedModelsAreByteIdenticalAcrossRuns) {
+  // Labelling and fitting twice must write the same model file.
+  const TrainerConfig cfg = tiny_config();
+  std::stringstream first;
+  std::stringstream second;
+  train_predictor(generate_training_data(cfg)).save(first);
+  train_predictor(generate_training_data(cfg)).save(second);
+  EXPECT_FALSE(first.str().empty());
+  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(Pipeline, RunAdaptiveEndToEnd) {

@@ -1,10 +1,11 @@
-// Unit tests for candidate grids and the Random/Exhaustive tuners.
+// Unit tests for candidate grids, sweeps and the exhaustive pick.
 #include "core/tuner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
@@ -51,6 +52,24 @@ TEST(Candidates, AtEnumeratesFullCross) {
   EXPECT_EQ(c.at(0).n, 10);
   EXPECT_EQ(c.at(5).m, 2);
   EXPECT_EQ(c.at(5).n, 30);
+}
+
+TEST(Candidates, CoarseGridIsTenBySix) {
+  const SwitchCandidates c = SwitchCandidates::coarse_grid();
+  ASSERT_EQ(c.m_values.size(), 10u);
+  ASSERT_EQ(c.n_values.size(), 6u);
+  EXPECT_EQ(c.size(), 60u);
+  EXPECT_DOUBLE_EQ(c.m_values.front(), 1.0);
+  EXPECT_NEAR(c.m_values.back(), 300.0, 1e-9);
+  EXPECT_NEAR(c.n_values.back(), 300.0, 1e-9);
+}
+
+TEST(Candidates, LogSpacedCollapsesADegenerateRange) {
+  EXPECT_EQ(SwitchCandidates::log_spaced(7.0, 300.0, 1),
+            std::vector<double>{7.0});
+  // lo == hi: every point coincides and deduplicates to one.
+  EXPECT_EQ(SwitchCandidates::log_spaced(5.0, 5.0, 4),
+            std::vector<double>{5.0});
 }
 
 TEST(Sweep, PricesEveryCandidateAndFindsExtremes) {
@@ -117,21 +136,36 @@ TEST(PickBest, ReturnsTheMinimum) {
   EXPECT_DOUBLE_EQ(replay_single(t, cpu, best.policy), best.seconds);
 }
 
-TEST(PickRandom, IsDeterministicAndWithinRange) {
+TEST(Sweep, MeanIsTheAverageOfEveryCandidate) {
   const LevelTrace t = rmat_trace();
-  const sim::ArchSpec cpu = sim::make_sandy_bridge_cpu();
   const SwitchCandidates c = SwitchCandidates::coarse_grid();
-  const CandidateSweep sweep = sweep_single(t, cpu, c);
-  const TunedPolicy a = pick_random(sweep, c, 5);
-  const TunedPolicy b = pick_random(sweep, c, 5);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_GE(a.seconds, sweep.best_seconds());
-  EXPECT_LE(a.seconds, sweep.worst_seconds());
+  const CandidateSweep sweep = sweep_single(t, sim::make_kepler_gpu(), c);
+  double sum = 0.0;
+  for (double s : sweep.seconds) sum += s;
+  EXPECT_DOUBLE_EQ(sweep.mean_seconds, sum / static_cast<double>(c.size()));
+}
+
+TEST(Sweep, TiesResolveToTheFirstCandidate) {
+  // The grid is sorted, so a tie labels the smallest knob: two equal
+  // candidates price the same and the first one must win, as best and
+  // as worst.
+  const LevelTrace t = rmat_trace();
+  SwitchCandidates c;
+  c.m_values = {12.0, 12.0};
+  c.n_values = {20.0};
+  const CandidateSweep sweep = sweep_single(t, sim::make_sandy_bridge_cpu(), c);
+  ASSERT_EQ(sweep.seconds[0], sweep.seconds[1]);
+  EXPECT_EQ(sweep.best_index, 0u);
+  EXPECT_EQ(sweep.worst_index, 0u);
 }
 
 TEST(Sweep, EmptyGridThrows) {
   const LevelTrace t = rmat_trace();
   EXPECT_THROW(sweep_single(t, sim::make_sandy_bridge_cpu(), {}),
+               std::invalid_argument);
+  EXPECT_THROW(sweep_cross(t, sim::make_sandy_bridge_cpu(),
+                           sim::make_kepler_gpu(), sim::InterconnectSpec{},
+                           {}, HybridPolicy{14, 24}),
                std::invalid_argument);
 }
 
