@@ -1,15 +1,11 @@
 // Serving-mode benchmark: one resident graph, a hot-skewed query
-// stream, three dispatch modes —
-//   serial         every query its own single-source traversal
-//                  (batch_max = 1, cache off);
-//   batched        up to 64 compatible queries coalesced per tick into
-//                  one bit-parallel MS-BFS pass (cache off);
-//   batched_cache  batching plus the landmark distance cache on the
-//                  admission path.
-// Reported per mode and worker count: throughput (queries/s) and
-// submit-to-answer latency percentiles. The batched win is algorithmic
-// (shared edge walks), so it shows even on one core; the cache removes
-// whole traversals, so it shows as a p50 collapse.
+// stream, replayed open loop with the landmark distance cache off and
+// on. Each tick answers its distance and reachability queries by
+// bidirectional search and its bfs queries by one traversal per
+// source. Reported per mode and worker count: throughput (queries/s),
+// submit-to-answer latency percentiles, and how many answers came from
+// pair searches and how many traversals ran. The cache answers hot
+// distance queries at admission, so it shows as a p50 drop.
 //
 // A second, lockstep sweep measures the write path under churn: the
 // same insert/remove/publish trace replayed against full-rebuild
@@ -46,7 +42,6 @@ using namespace bfsx::bench;
 
 struct ModeSpec {
   const char* label;
-  int batch_max;
   bool cache;
 };
 
@@ -85,7 +80,7 @@ bool answers_match(const std::vector<serve::ReplayAnswer>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("serve", "query serving: serial vs batched vs batched+cache");
+  print_header("serve", "query serving: landmark cache off vs on");
   const int scale = pick_scale(15, 18);
   const int num_queries = full_mode() ? 4096 : 1024;
 
@@ -108,23 +103,19 @@ int main(int argc, char** argv) {
               gen.hot_fraction * 100.0);
 
   JsonReport report("serve");
-  std::printf("%-14s %8s %10s %8s %10s %10s %10s %10s\n", "mode", "workers",
-              "queries/s", "cached", "p50 ms", "p95 ms", "p99 ms",
-              "max batch");
+  std::printf("%-14s %8s %10s %8s %10s %10s %10s %8s %10s\n", "mode",
+              "workers", "queries/s", "cached", "p50 ms", "p95 ms", "p99 ms",
+              "pairs", "traversals");
 
   const ModeSpec modes[] = {
-      {"serial", 1, false},
-      {"batched", 64, false},
-      {"batched_cache", 64, true},
+      {"cache_off", false},
+      {"cache_on", true},
   };
-  // serial throughput per worker count, for the speedup column.
-  double serial_qps[8] = {};
 
   for (const int workers : {1, 2, 4}) {
     for (const ModeSpec& mode : modes) {
       serve::ServeOptions opts;
       opts.workers = workers;
-      opts.batch_max = mode.batch_max;
       opts.cache_enabled = mode.cache;
       opts.num_landmarks = 16;
       opts.queue_capacity = ops.size();
@@ -138,23 +129,17 @@ int main(int argc, char** argv) {
           sum.wall_seconds > 0.0
               ? static_cast<double>(sum.served) / sum.wall_seconds
               : 0.0;
-      if (mode.batch_max == 1) serial_qps[workers] = qps;
-      const double speedup = serial_qps[workers] > 0.0
-                                 ? qps / serial_qps[workers]
-                                 : 0.0;
-
-      std::printf("%-14s %8d %10.0f %8lld %10.3f %10.3f %10.3f %10lld"
-                  "   (%.2fx serial)\n",
+      std::printf("%-14s %8d %10.0f %8lld %10.3f %10.3f %10.3f %8lld %10lld\n",
                   mode.label, workers, qps,
                   static_cast<long long>(sum.cache_hits), lat.p50 * 1e3,
                   lat.p95 * 1e3, lat.p99 * 1e3,
-                  static_cast<long long>(st.max_batch), speedup);
+                  static_cast<long long>(st.pair_queries),
+                  static_cast<long long>(st.traversals));
 
       report.row();
       report.cell("mode", mode.label);
       report.cell("workers", workers);
       report.cell("queries_per_second", qps);
-      report.cell("speedup_vs_serial", speedup);
       report.cell("served", sum.served);
       report.cell("rejected", sum.rejected);
       report.cell("cache_hits", sum.cache_hits);
@@ -162,16 +147,17 @@ int main(int argc, char** argv) {
       report.cell("p95_seconds", lat.p95);
       report.cell("p99_seconds", lat.p99);
       report.cell("max_seconds", lat.max);
+      report.cell("pair_queries", st.pair_queries);
+      report.cell("traversals", st.traversals);
       report.cell("max_batch", st.max_batch);
       report.cell("dispatches", st.dispatches);
     }
     std::printf("\n");
   }
 
-  std::printf("-> expectation: batched > serial queries/s at every worker "
-              "count (shared edge walks),\n"
-              "   and batched_cache cuts p50 vs batched (hot distance "
-              "queries answered at admission)\n\n");
+  std::printf("-> expectation: cache_on cuts p50 vs cache_off at every "
+              "worker count (hot distance\n"
+              "   queries answered at admission)\n\n");
 
   // ---- churn sweep: publish-cost curve under a write workload ----
   serve::TraceGenOptions cgen;

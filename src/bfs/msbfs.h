@@ -20,11 +20,9 @@
 // the schedule (levels never do).
 //
 // A pass records only what its caller reads (MsBfsRequest): a full
-// tree, a level row in caller storage, or single (lane, target) cells.
-// A lane leaves the traversal — the `live` mask every step reads — as
-// soon as its frontier empties or, for a cells-only lane, its last
-// target is answered, so a point query stops at the target's distance
-// instead of exhausting the component.
+// tree, or a level row in caller storage. A lane leaves the traversal
+// — the `live` mask every step reads — as soon as its frontier
+// empties.
 #pragma once
 
 #include <algorithm>
@@ -69,9 +67,8 @@ struct MsBfsOptions {
 /// What one lane of a pass records for its caller.
 struct MsLane {
   enum class Record {
-    kTree,   ///< parent and level maps, totals, and per-level counters
-    kRow,    ///< the level map only, written into `row`
-    kCells,  ///< nothing but the MsBfsRequest::cells naming this lane
+    kTree,  ///< parent and level maps, totals, and per-level counters
+    kRow,   ///< the level map only, written into `row`
   };
   graph::vid_t root = 0;
   Record record = Record::kTree;
@@ -80,17 +77,9 @@ struct MsLane {
   std::span<std::int32_t> row;
 };
 
-/// One point answer a pass computes: the level of `target` in lane
-/// `lane`'s traversal, or -1 when the lane never reaches it.
-struct MsCell {
-  int lane = 0;
-  graph::vid_t target = 0;
-};
-
-/// One pass: its lanes (root and what each records) and its cells.
+/// One pass: its lanes, each a root and what it records.
 struct MsBfsRequest {
   std::vector<MsLane> lanes;
-  std::vector<MsCell> cells;
 };
 
 /// Per-lane per-level work counters — the same quantities LevelTrace
@@ -123,8 +112,6 @@ struct MsBfsResult {
   /// other lanes), one entry per level its frontier was non-empty,
   /// exactly like a single-source traversal's level log.
   std::vector<std::vector<MsLaneLevel>> lane_levels;
-  /// cells[j] answers request.cells[j].
-  std::vector<std::int32_t> cells;
   /// Union-frontier summary of every executed level.
   std::vector<MsUnionLevel> levels;
   std::int32_t depth = 0;  // union depth: levels executed by the batch
@@ -138,8 +125,8 @@ namespace detail {
 /// frontier, `visit_next` the one under construction, and `discovered`
 /// marks the vertices `visit_next` gained a bit at — the next active
 /// list. Parent/level pointers index straight into the caller-visible
-/// maps so discovery writes them with no extraction pass; they are
-/// null for lanes that record no such map.
+/// maps so discovery writes them with no extraction pass; parent is
+/// null for row lanes, which record levels only.
 struct MsLaneState {
   std::vector<std::uint64_t> seen;
   std::vector<std::uint64_t> visit;
@@ -147,7 +134,6 @@ struct MsLaneState {
   graph::Bitmap discovered;
   std::array<graph::vid_t*, kMsBfsMaxLanes> parent{};
   std::array<std::int32_t*, kMsBfsMaxLanes> level{};
-  std::uint64_t maps = 0;  // lanes recording a level map (trees and rows)
   std::uint64_t live = 0;  // lanes still traversing
   /// Top-down piece offsets over the active list (bfs/frontier.h), and
   /// per-block scratch shared by that prefix and the candidate filter.
@@ -155,13 +141,12 @@ struct MsLaneState {
   std::vector<BlockSpan> spans;
 };
 
-/// Writes lane maps for the lanes of `won` that record them.
+/// Writes the lane maps of every lane in `won`.
 inline void ms_record(MsLaneState& s, std::uint64_t won, std::size_t w,
                       graph::vid_t from, std::int32_t next_level) {
-  std::uint64_t bits = won & s.maps;
-  while (bits != 0) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-    bits &= bits - 1;
+  while (won != 0) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(won));
+    won &= won - 1;
     s.level[l][w] = next_level;
     if (s.parent[l] != nullptr) s.parent[l][w] = from;
   }
@@ -169,8 +154,7 @@ inline void ms_record(MsLaneState& s, std::uint64_t won, std::size_t w,
 
 /// Expands the union frontier top-down, dealt out like the
 /// single-source kernel in pieces of kPieceEdges edges of the active
-/// rows (a row carrying only retired lanes weighs nothing), so the hub
-/// roots of a landmark batch spread over the team. Threads race to
+/// rows, so the hub roots of a landmark batch spread over the team. Threads race to
 /// claim lanes of a neighbour with one fetch_or on its `seen` word; the
 /// winner of each bit — and only the winner — writes that lane's
 /// parent/level entry, so the stores are per-(lane, vertex) exclusive.
@@ -263,11 +247,10 @@ void ms_bottom_up_step(const V& g,
 /// HybridView (CSR via the adapter overload below, delta-CSR epochs,
 /// compressed CSR), recording per lane only what `request` asks for.
 /// Throws std::invalid_argument on an empty or oversized batch, an
-/// out-of-range root, cell lane or cell target, or a kRow lane whose
-/// row is not num_vertices() long. Levels, counters, cells and
-/// reached/edge totals are bit-identical for every OMP_NUM_THREADS —
-/// and, for views enumerating identical sorted adjacency, across
-/// representations.
+/// out-of-range root, or a kRow lane whose row is not num_vertices()
+/// long. Levels, counters and reached/edge totals are bit-identical for
+/// every OMP_NUM_THREADS — and, for views enumerating identical sorted
+/// adjacency, across representations.
 template <graph::HybridView V>
 [[nodiscard]] MsBfsResult ms_bfs(const V& g, const MsBfsRequest& request,
                                  const MsBfsOptions& opts = {}) {
@@ -283,26 +266,18 @@ template <graph::HybridView V>
                                 " roots (want 1.." +
                                 std::to_string(kMsBfsMaxLanes) + ")");
   }
-  const auto check_range = [](const char* what, std::int64_t v,
-                              std::int64_t end) {
-    if (v < 0 || v >= end) {
-      throw std::invalid_argument("ms_bfs: " + std::string(what) + " " +
-                                  std::to_string(v) + " out of range [0, " +
-                                  std::to_string(end) + ")");
-    }
-  };
   for (const MsLane& lane : request.lanes) {
-    check_range("root", lane.root, n);
+    if (lane.root < 0 || lane.root >= n) {
+      throw std::invalid_argument("ms_bfs: root " + std::to_string(lane.root) +
+                                  " out of range [0, " + std::to_string(n) +
+                                  ")");
+    }
     if (lane.record == Record::kRow &&
         lane.row.size() != static_cast<std::size_t>(n)) {
       throw std::invalid_argument(
           "ms_bfs: level row of " + std::to_string(lane.row.size()) +
           " cells for " + std::to_string(n) + " vertices");
     }
-  }
-  for (const MsCell& c : request.cells) {
-    check_range("cell lane", c.lane, lanes);
-    check_range("target", c.target, n);
   }
   BFSX_CHECK(opts.m > 0.0 && opts.n > 0.0)
       << "ms_bfs: switching parameters must be positive (M = " << opts.m
@@ -313,7 +288,6 @@ template <graph::HybridView V>
   MsBfsResult out;
   out.per_root.resize(static_cast<std::size_t>(lanes));
   out.lane_levels.resize(static_cast<std::size_t>(lanes));
-  out.cells.assign(request.cells.size(), -1);
 
   detail::MsLaneState s;
   s.seen.assign(nn, 0);
@@ -335,40 +309,17 @@ template <graph::HybridView V>
       r.parent[ri] = lane.root;
       s.parent[li] = r.parent.data();
       s.level[li] = r.level.data();
-    } else if (lane.record == Record::kRow) {
+    } else {
       std::fill(lane.row.begin(), lane.row.end(), -1);
       s.level[li] = lane.row.data();
     }
-    if (s.level[li] != nullptr) s.level[li][ri] = 0;
-  }
-
-  // Cells the graph answers without a traversal: the root itself, and
-  // a target no edge enters. The rest stay open until the pass reaches
-  // them or the lane's frontier empties (-1).
-  std::array<int, kMsBfsMaxLanes> pending{};
-  std::vector<std::size_t> open;
-  for (std::size_t j = 0; j < request.cells.size(); ++j) {
-    const MsCell& c = request.cells[j];
-    if (c.target == request.lanes[static_cast<std::size_t>(c.lane)].root) {
-      out.cells[j] = 0;
-      continue;
-    }
-    bool entered = false;
-    g.for_each_in_neighbor(c.target, [&entered](vid_t) {
-      entered = true;
-      return false;
-    });
-    if (!entered) continue;
-    open.push_back(j);
-    ++pending[static_cast<std::size_t>(c.lane)];
+    s.level[li][ri] = 0;
   }
 
   std::vector<vid_t> active;
   for (int l = 0; l < lanes; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const std::uint64_t bit = std::uint64_t{1} << l;
-    if (s.level[li] != nullptr) s.maps |= bit;
-    if (s.level[li] == nullptr && pending[li] == 0) continue;
     s.live |= bit;
     const auto ri = static_cast<std::size_t>(request.lanes[li].root);
     s.seen[ri] |= bit;
@@ -451,20 +402,6 @@ template <graph::HybridView V>
       detail::ms_bottom_up_step(g, candidates, s, next_level);
     }
 
-    // Answer open cells from the lane bits this step set; a cells-only
-    // lane whose last target is answered retires.
-    std::erase_if(open, [&](std::size_t j) {
-      const MsCell& c = request.cells[j];
-      if (((s.visit_next[static_cast<std::size_t>(c.target)] >> c.lane) &
-           1) == 0) {
-        return false;
-      }
-      out.cells[j] = next_level;
-      if (--pending[static_cast<std::size_t>(c.lane)] == 0) {
-        s.live &= s.maps | ~(std::uint64_t{1} << c.lane);
-      }
-      return true;
-    });
     if (dir == Direction::kBottomUp) {
       const vid_t* from = candidates.data();
       filter_ordered(

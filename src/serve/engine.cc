@@ -1,8 +1,14 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <atomic>
+#include <exception>
+#include <system_error>
 #include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "graph500/native_engine.h"
 
@@ -51,6 +57,37 @@ std::size_t publish_bucket(double seconds) {
   return kPublishBounds.size();
 }
 
+/// Threads a parallel region opened on this thread would get.
+std::size_t team_size() {
+#ifdef _OPENMP
+  return static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
+#else
+  return 1;
+#endif
+}
+
+/// Holds the OpenMP regions this thread opens to one thread while it
+/// lives, so a traversal's level loops run on their caller alone.
+class OneThreadRegions {
+ public:
+  OneThreadRegions() {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(1);
+#endif
+  }
+  ~OneThreadRegions() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  OneThreadRegions(const OneThreadRegions&) = delete;
+  OneThreadRegions& operator=(const OneThreadRegions&) = delete;
+
+ private:
+  int saved_ = 1;
+};
+
 }  // namespace
 
 QueryEngine::QueryEngine(graph::EdgeList edges, ServeOptions opts)
@@ -62,7 +99,7 @@ QueryEngine::QueryEngine(graph::EdgeList edges, ServeOptions opts)
       registry_(graph500::EngineRegistry::with_builtin_engines()) {
   opts_.policy.validate();
   opts_.workers = std::max(opts_.workers, 1);
-  opts_.batch_max = std::clamp(opts_.batch_max, 1, bfs::kMsBfsMaxLanes);
+  opts_.batch_max = std::clamp(opts_.batch_max, 1, kMaxTickQueries);
   paused_ = opts_.start_paused;
   rebuild_cache();
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
@@ -278,6 +315,7 @@ graph::vid_t QueryEngine::num_vertices() const {
 }
 
 void QueryEngine::worker_loop() {
+  bfs::PairScratch scratch;  // this worker's, reused by every tick
   for (;;) {
     std::vector<Pending> batch;
     {
@@ -286,9 +324,8 @@ void QueryEngine::worker_loop() {
         return stopping_ || (!paused_ && !queue_.empty());
       });
       if (stopping_) return;  // shutdown() already resolved the queue
-      // One scheduler tick: engine-override queries are incompatible
-      // with lane batching and go out alone; otherwise coalesce up to
-      // batch_max compatible queries into one MS-BFS pass.
+      // One scheduler tick: an engine-override query goes out alone;
+      // otherwise take up to batch_max queries without one.
       const auto cap = static_cast<std::size_t>(opts_.batch_max);
       if (!queue_.front().query.engine.empty()) {
         batch.push_back(std::move(queue_.front()));
@@ -305,7 +342,7 @@ void QueryEngine::worker_loop() {
       stats_.max_batch =
           std::max(stats_.max_batch, static_cast<std::int64_t>(batch.size()));
     }
-    serve_tick(std::move(batch));
+    serve_tick(std::move(batch), scratch);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
@@ -314,124 +351,167 @@ void QueryEngine::worker_loop() {
   }
 }
 
-void QueryEngine::serve_tick(std::vector<Pending> batch) {
+void QueryEngine::serve_tick(std::vector<Pending> batch,
+                             bfs::PairScratch& scratch) {
   // The whole tick answers on one pinned epoch: inserts published
-  // while the batch runs target the next epoch and cannot bleed in.
+  // while the tick runs target the next epoch and cannot bleed in.
   const GraphEpochs::Pin pin = epochs_.pin();
-  if (batch.size() == 1) {
-    serve_single(std::move(batch.front()), pin);
-  } else {
-    serve_msbfs(std::move(batch), pin);
+  std::vector<std::vector<Pending>> trees;
+  if (!batch.front().query.engine.empty()) {  // alone in its tick
+    trees.push_back(std::move(batch));
+    serve_traversals(std::move(trees), pin);
+    return;
   }
+  // Point queries first: a bidirectional search takes microseconds, a
+  // traversal milliseconds. bfs queries of one source share one tree.
+  std::vector<Pending> points;
+  for (Pending& p : batch) {
+    if (p.query.kind != QueryKind::kBfs) {
+      points.push_back(std::move(p));
+      continue;
+    }
+    const auto group =
+        std::find_if(trees.begin(), trees.end(), [&](const auto& t) {
+          return t.front().query.source == p.query.source;
+        });
+    if (group != trees.end()) {
+      group->push_back(std::move(p));
+    } else {
+      trees.emplace_back().push_back(std::move(p));
+    }
+  }
+  if (!points.empty()) serve_pairs(std::move(points), pin, scratch);
+  if (!trees.empty()) serve_traversals(std::move(trees), pin);
 }
 
-void QueryEngine::serve_single(Pending pending, const GraphEpochs::Pin& pin) {
+void QueryEngine::serve_pairs(std::vector<Pending> points,
+                              const GraphEpochs::Pin& pin,
+                              bfs::PairScratch& scratch) {
   obs::QueryEvent e;
   e.stage = obs::QueryEvent::Stage::kDispatch;
-  e.detail = pending.query.engine.empty() ? "native-hybrid"
-                                          : pending.query.engine;
+  e.detail = "pair";
   e.epoch = pin.epoch();
-  e.batch_size = 1;
+  e.batch_size = static_cast<std::int32_t>(points.size());
   e.lanes = 0;
   emit(e);
 
+  std::vector<QueryResult> results;
+  results.reserve(points.size());
   try {
-    // Flat and delta epochs alike run the wall-clock M/N loop; every
-    // engine reaches the same levels and parents, so an override
-    // changes only the dispatch event's name.
-    bfs::BfsResult result = pin.graph().visit([&](const auto& g) {
-      return graph500::run_native(g, pending.query.source, "native-hybrid",
-                                  opts_.policy, nullptr, &pool_)
-          .result;
+    pin.graph().visit([&](const auto& g) {
+      for (const Pending& p : points) {
+        QueryResult r = skeleton(p.query);
+        r.epoch = pin.epoch();
+        answer_cell(r, bfs::pair_distance(g, p.query.source, p.query.target,
+                                          scratch));
+        results.push_back(std::move(r));
+      }
     });
-    QueryResult r = skeleton(pending.query);
-    r.epoch = pin.epoch();
-    if (r.kind == QueryKind::kBfs) {
-      answer_tree(r, std::make_shared<const bfs::BfsResult>(std::move(result)));
-    } else {
-      answer_cell(r, result.level[static_cast<std::size_t>(r.target)]);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.served;
-      ++stats_.single_queries;
-    }
-    finish(std::move(pending), std::move(r));
   } catch (...) {
-    pending.promise.set_exception(std::current_exception());
-  }
-}
-
-void QueryEngine::serve_msbfs(std::vector<Pending> batch,
-                              const GraphEpochs::Pin& pin) {
-  // One lane per distinct source. A lane records a tree only when a
-  // kBfs query reads it; every distance or reachability query asks for
-  // one (lane, target) cell, in batch order, and a lane left with cells
-  // only retires from the pass once they are answered.
-  std::unordered_map<graph::vid_t, int> lane_of;
-  bfs::MsBfsRequest request;
-  for (const Pending& p : batch) {
-    const auto [it, fresh] = lane_of.emplace(
-        p.query.source, static_cast<int>(request.lanes.size()));
-    if (fresh) {
-      request.lanes.push_back({.root = p.query.source,
-                               .record = bfs::MsLane::Record::kCells,
-                               .row = {}});
-    }
-    if (p.query.kind == QueryKind::kBfs) {
-      request.lanes[static_cast<std::size_t>(it->second)].record =
-          bfs::MsLane::Record::kTree;
-    } else {
-      request.cells.push_back({it->second, p.query.target});
-    }
-  }
-
-  obs::QueryEvent e;
-  e.stage = obs::QueryEvent::Stage::kDispatch;
-  e.detail = "msbfs";
-  e.epoch = pin.epoch();
-  e.batch_size = static_cast<std::int32_t>(batch.size());
-  e.lanes = static_cast<std::int32_t>(request.lanes.size());
-  emit(e);
-
-  bfs::MsBfsOptions mopts;
-  mopts.m = opts_.policy.m;
-  mopts.n = opts_.policy.n;
-  bfs::MsBfsResult pass;
-  try {
-    pass = pin.graph().visit(
-        [&](const auto& g) { return bfs::ms_bfs(g, request, mopts); });
-  } catch (...) {
-    for (Pending& p : batch) {
+    for (Pending& p : points) {
       p.promise.set_exception(std::current_exception());
     }
     return;
   }
-
-  std::vector<std::shared_ptr<const bfs::BfsResult>> trees(
-      request.lanes.size());
-  for (std::size_t l = 0; l < trees.size(); ++l) {
-    if (request.lanes[l].record == bfs::MsLane::Record::kTree) {
-      trees[l] = std::make_shared<const bfs::BfsResult>(
-          std::move(pass.per_root[l]));
-    }
-  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    stats_.served += static_cast<std::int64_t>(batch.size());
-    stats_.batched_queries += static_cast<std::int64_t>(batch.size());
+    stats_.served += static_cast<std::int64_t>(points.size());
+    stats_.pair_queries += static_cast<std::int64_t>(points.size());
   }
-  std::size_t next_cell = 0;
-  for (Pending& p : batch) {
-    QueryResult r = skeleton(p.query);
-    r.epoch = pin.epoch();
-    r.batch_lanes = static_cast<std::int32_t>(request.lanes.size());
-    if (r.kind == QueryKind::kBfs) {
-      answer_tree(r, trees[static_cast<std::size_t>(lane_of.at(r.source))]);
-    } else {
-      answer_cell(r, pass.cells[next_cell++]);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    finish(std::move(points[i]), std::move(results[i]));
+  }
+}
+
+void QueryEngine::serve_traversals(std::vector<std::vector<Pending>> groups,
+                                   const GraphEpochs::Pin& pin) {
+  obs::QueryEvent e;
+  e.stage = obs::QueryEvent::Stage::kDispatch;
+  e.detail = groups.front().front().query.engine.empty()
+                 ? "native-hybrid"
+                 : groups.front().front().query.engine;
+  e.epoch = pin.epoch();
+  e.batch_size = 0;
+  for (const std::vector<Pending>& group : groups) {
+    e.batch_size += static_cast<std::int32_t>(group.size());
+  }
+  e.lanes = 0;
+  emit(e);
+
+  // One traversal per source. A tick's only tree runs on the worker's
+  // OpenMP team. Several run side by side on as many threads as the
+  // team has: the worker and helper threads started for the tick, each
+  // taking the next tree and running it on its own thread alone.
+  // They do not share the team: its pooled threads spin about 10 ms
+  // between regions, so a team kept busy tick after tick never sleeps
+  // and keeps the CPUs it first woke on, even when one woke on its
+  // worker's CPU, and serve's throughput then swung from run to run
+  // (DESIGN §10). A helper is placed on an idle CPU when it starts.
+  //
+  // Flat and delta epochs alike run the wall-clock M/N loop; every
+  // engine reaches the same levels and parents, so an override changes
+  // only the dispatch event's name.
+  std::vector<std::shared_ptr<const bfs::BfsResult>> trees(groups.size());
+  std::vector<std::exception_ptr> errors(groups.size());
+  const auto traverse = [&](std::size_t k) {
+    try {
+      trees[k] = std::make_shared<const bfs::BfsResult>(
+          pin.graph().visit([&](const auto& g) {
+            return graph500::run_native(g, groups[k].front().query.source,
+                                        "native-hybrid", opts_.policy,
+                                        nullptr, &pool_)
+                .result;
+          }));
+    } catch (...) {
+      errors[k] = std::current_exception();
     }
-    finish(std::move(p), std::move(r));
+  };
+  const std::size_t threads = std::min(groups.size(), team_size());
+  if (threads == 1) {
+    for (std::size_t k = 0; k < groups.size(); ++k) traverse(k);
+  } else {
+    std::atomic<std::size_t> next{0};
+    const auto take_trees = [&] {
+      const OneThreadRegions one_thread;
+      for (std::size_t k = next++; k < groups.size(); k = next++) {
+        traverse(k);
+      }
+    };
+    std::vector<std::thread> helpers;
+    for (std::size_t i = 1; i < threads; ++i) {
+      try {
+        helpers.emplace_back(take_trees);
+      } catch (const std::system_error&) {
+        break;  // the threads already started take the rest
+      }
+    }
+    take_trees();
+    for (std::thread& helper : helpers) helper.join();
+  }
+
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      if (errors[k]) continue;
+      stats_.served += static_cast<std::int64_t>(groups[k].size());
+      ++stats_.traversals;
+    }
+  }
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    for (Pending& p : groups[k]) {
+      if (errors[k]) {
+        p.promise.set_exception(errors[k]);
+        continue;
+      }
+      QueryResult r = skeleton(p.query);
+      r.epoch = pin.epoch();
+      if (r.kind == QueryKind::kBfs) {
+        answer_tree(r, trees[k]);
+      } else {
+        answer_cell(r, trees[k]->level[static_cast<std::size_t>(r.target)]);
+      }
+      finish(std::move(p), std::move(r));
+    }
   }
 }
 

@@ -6,27 +6,30 @@
 //
 //   submit() ── admission ──> bounded queue ──> scheduler tick ──> answer
 //                 │  │                             │
-//                 │  └ landmark cache: covered     ├ >=2 compatible queries:
-//                 │    distance queries answered   │   one bit-parallel MS-BFS
-//                 │    at the door, no traversal   │   pass, lanes deduped by
-//                 │                                │   source
-//                 └ reject-with-reason when the    └ singletons / engine
-//                   queue is full (backpressure      overrides: one wall-clock
-//                   the caller can see)              M/N traversal, its state
-//                                                    leased from a StatePool
+//                 │  └ landmark cache: covered     ├ distance / reachability:
+//                 │    distance queries answered   │   one bidirectional search
+//                 │    at the door, no traversal   │   each, serial, on the
+//                 │                                │   worker's own scratch
+//                 └ reject-with-reason when the    └ bfs (and engine overrides):
+//                   queue is full (backpressure      one wall-clock M/N
+//                   the caller can see)              traversal per distinct
+//                                                    source, its state leased
+//                                                    from a StatePool
 //
-// Worker threads (std::thread; each may open its own OpenMP team
-// inside a kernel) drain the queue in ticks of up to `batch_max`
-// compatible queries. Admission, completion, cache hit/miss, and every
-// dispatch are reported through obs::TraceSink::on_query; calls are
-// serialised by the engine, so any sink works unsynchronised.
+// Worker threads (std::thread) drain the queue in ticks of up to
+// `batch_max` queries. A tick's only traversal runs on the worker's own
+// OpenMP team; several run side by side, one tree per thread, on the
+// worker and on helper threads started for the tick, as many threads
+// as the team has. Admission, completion, cache hit/miss, and every dispatch
+// are reported through obs::TraceSink::on_query; calls are serialised
+// by the engine, so any sink works unsynchronised.
 //
 // Writes: insert_edge / remove_edge buffer, publish_inserts emits the
 // next epoch — a DeltaCsr overlay sharing unchanged rows with its base
 // when the policy allows (see epochs.h) — and re-arms the landmark
 // cache, incrementally when the batch was insert-only (distances only
 // decrease, so the old rows relax down; see landmark_cache.h) and from
-// scratch when it removed edges. In-flight batches keep serving the
+// scratch when it removed edges. In-flight ticks keep serving the
 // epoch they pinned — an answer is always bit-equal to reference_bfs
 // on its own epoch's graph, never a blend.
 #pragma once
@@ -44,7 +47,7 @@
 #include <thread>
 #include <vector>
 
-#include "bfs/msbfs.h"
+#include "bfs/pair_distance.h"
 #include "bfs/state_pool.h"
 #include "core/hybrid_policy.h"
 #include "graph500/engine_registry.h"
@@ -56,20 +59,24 @@
 
 namespace bfsx::serve {
 
+/// The most queries one scheduler tick takes.
+inline constexpr int kMaxTickQueries = 64;
+
 struct ServeOptions {
   /// Worker threads draining the admission queue.
   int workers = 2;
   /// Admission-queue bound; a submit beyond it rejects kQueueFull.
   std::size_t queue_capacity = 1024;
-  /// Queries coalesced per scheduler tick (clamped to [1, 64]).
-  /// 1 disables lane batching — every query dispatches single-source,
-  /// the "serial" baseline bench_serve compares against.
-  int batch_max = bfs::kMsBfsMaxLanes;
+  /// Queries one scheduler tick takes from the queue (clamped to
+  /// [1, kMaxTickQueries]). A tick answers each query on its own, so
+  /// this bounds how long a tick holds its worker, not how much work
+  /// its queries share; only bfs queries of one source share a
+  /// traversal.
+  int batch_max = kMaxTickQueries;
   /// Landmark cache on the admission path (rebuilt per epoch).
   bool cache_enabled = true;
   int num_landmarks = 16;
-  /// M/N direction rule for both the MS-BFS union frontier and the
-  /// single-source traversal of one-query ticks.
+  /// M/N direction rule of the single-source traversals.
   core::HybridPolicy policy{};
   /// Optional, non-owning; must outlive the engine. Receives on_query
   /// stage events (serialised). Per-level run tracing stays off in the
@@ -98,8 +105,8 @@ struct ServeStats {
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;      // cacheable but uncovered
   std::int64_t dispatches = 0;        // scheduler ticks that ran
-  std::int64_t batched_queries = 0;   // served by an MS-BFS lane
-  std::int64_t single_queries = 0;    // served by a single-source engine
+  std::int64_t pair_queries = 0;      // answered by bidirectional search
+  std::int64_t traversals = 0;        // single-source traversals run
   std::int64_t max_batch = 0;         // largest tick
   std::int64_t edges_inserted = 0;
   std::int64_t edges_removed = 0;
@@ -185,9 +192,11 @@ class QueryEngine {
   };
 
   void worker_loop();
-  void serve_tick(std::vector<Pending> batch);
-  void serve_single(Pending pending, const GraphEpochs::Pin& pin);
-  void serve_msbfs(std::vector<Pending> batch, const GraphEpochs::Pin& pin);
+  void serve_tick(std::vector<Pending> batch, bfs::PairScratch& scratch);
+  void serve_pairs(std::vector<Pending> points, const GraphEpochs::Pin& pin,
+                   bfs::PairScratch& scratch);
+  void serve_traversals(std::vector<std::vector<Pending>> groups,
+                        const GraphEpochs::Pin& pin);
   void finish(Pending pending, QueryResult result);
   void emit(const obs::QueryEvent& e);
   void rebuild_cache();

@@ -2,12 +2,12 @@
 //
 // Three query kinds, all answerable from one source-rooted traversal:
 // a full BFS (parent + level maps, the library's classic output), a
-// point-to-point distance, and a reachability test. Kinds without an
-// engine override are *batch-compatible*: the scheduler coalesces them
-// into one bit-parallel MS-BFS pass, up to 64 distinct sources per
-// tick, because queries sharing an edge walk is the economics that
-// makes a BFS server viable (BENCH_msbfs: ~3-6x aggregate TEPS).
-// Queries naming an explicit engine are served alone, by a
+// point-to-point distance, and a reachability test. A scheduler tick
+// answers each distance or reachability query by bidirectional search
+// (bfs/pair_distance.h), which walks about a thousand edges instead of
+// the source's whole component, and each bfs query by one
+// single-source traversal, shared by the tick's bfs queries of that
+// source. Queries naming an explicit engine are served alone, by a
 // single-source traversal.
 #pragma once
 
@@ -42,10 +42,10 @@ struct Query {
   graph::vid_t target = 0;
   /// Optional engine override (a graph500::EngineRegistry name, e.g.
   /// "native-td"). An unregistered name is rejected at admission; a
-  /// registered one keeps the query out of MS-BFS lane batching, so it
-  /// is served alone by the single-source M/N traversal, and names the
-  /// tick's dispatch event. It does not pick the engine that answers:
-  /// every engine reaches the same levels and parents.
+  /// registered one serves the query alone, by the single-source M/N
+  /// traversal even for a distance or reachability query, and names
+  /// the tick's dispatch event. It does not pick the engine that
+  /// answers: every engine reaches the same levels and parents.
   std::string engine;
 };
 
@@ -83,19 +83,16 @@ struct QueryResult {
   /// `target`, -1 if unreached.
   std::int32_t distance = -1;
   bool reachable = false;
-  /// kBfs only: the full parent/level maps. Shared because duplicate
-  /// sources inside one batch are answered by the same MS-BFS lane.
+  /// kBfs only: the full parent/level maps. Shared because bfs queries
+  /// of one source inside one tick are answered by the same traversal.
   std::shared_ptr<const bfs::BfsResult> traversal;
 
   /// The graph epoch this answer was computed on. Concurrent streaming
-  /// inserts never bleed into an answer: the whole batch pins one
+  /// inserts never bleed into an answer: the whole tick pins one
   /// epoch (see serve::GraphEpochs).
   std::uint64_t epoch = 0;
   /// Answered from the landmark cache, without touching the graph.
   bool cache_hit = false;
-  /// Distinct MS-BFS lanes of the pass that served it; 0 when served
-  /// by a single-source engine or the cache.
-  std::int32_t batch_lanes = 0;
   /// Submit-to-answer wall latency as measured by the engine.
   double latency_seconds = 0.0;
 };

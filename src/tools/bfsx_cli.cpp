@@ -627,10 +627,10 @@ int cmd_serve(const Args& args) {
               static_cast<long long>(sum.served),
               static_cast<long long>(sum.rejected),
               static_cast<long long>(sum.cache_hits));
-  std::printf("batching: %lld batched / %lld single over %lld dispatches "
-              "(largest tick %lld)\n",
-              static_cast<long long>(st.batched_queries),
-              static_cast<long long>(st.single_queries),
+  std::printf("ticks: %lld pair searches, %lld traversals over %lld "
+              "ticks (largest tick %lld)\n",
+              static_cast<long long>(st.pair_queries),
+              static_cast<long long>(st.traversals),
               static_cast<long long>(st.dispatches),
               static_cast<long long>(st.max_batch));
   if (sum.inserts > 0 || sum.removes > 0 || sum.publishes > 0) {

@@ -97,7 +97,9 @@ TEST(TopDownStep, StarExpandsAllSpokesAtOnce) {
   EXPECT_EQ(s.frontier_edges, 9);
   EXPECT_EQ(s.next_vertices, 9);
   EXPECT_EQ(state.reached, 10);
-  for (vid_t v = 1; v < 10; ++v) EXPECT_EQ(state.parent[v], 0);
+  for (vid_t v = 1; v < 10; ++v) {
+    EXPECT_EQ(state.parent[static_cast<std::size_t>(v)], 0);
+  }
 }
 
 TEST(TopDownStep, EachVertexGetsExactlyOneParent) {
@@ -118,7 +120,9 @@ TEST(BottomUpStep, FindsParentsForAdjacentUnvisited) {
   EXPECT_EQ(s.unvisited_vertices, 5);
   EXPECT_EQ(s.next_vertices, 5);
   EXPECT_EQ(state.reached, 6);
-  for (vid_t v = 1; v < 6; ++v) EXPECT_EQ(state.parent[v], 0);
+  for (vid_t v = 1; v < 6; ++v) {
+    EXPECT_EQ(state.parent[static_cast<std::size_t>(v)], 0);
+  }
 }
 
 TEST(BottomUpStep, CountsHitAndMissScans) {
@@ -553,7 +557,9 @@ TEST(TopDownBalance, StarCentreRowSplitsIdenticallyOnEveryView) {
     EXPECT_EQ(hub.counters[1], n - 1) << root;
     EXPECT_EQ(hub.counters[2], root == 0 ? n - 1 : n - 2) << root;
     for (vid_t v = 1; v < n; ++v) {
-      if (v != root) EXPECT_EQ(hub.parent[static_cast<std::size_t>(v)], 0);
+      if (v != root) {
+        EXPECT_EQ(hub.parent[static_cast<std::size_t>(v)], 0);
+      }
     }
     for (std::size_t i = 1; i < runs.size(); ++i) {
       expect_same_steps(serial, runs[i].second, runs[i].first);

@@ -46,9 +46,11 @@ TEST(CostModel, TopDownCostIsMonotoneInWork) {
 
 TEST(CostModel, RejectsNegativeWork) {
   const ArchSpec cpu = make_sandy_bridge_cpu();
-  EXPECT_THROW(top_down_level_seconds(cpu, -1), std::invalid_argument);
-  EXPECT_THROW(bottom_up_level_seconds(cpu, -1, 0, 0), std::invalid_argument);
-  EXPECT_THROW(bottom_up_level_seconds(cpu, 1, -1, 0), std::invalid_argument);
+  EXPECT_THROW((void)top_down_level_seconds(cpu, -1), std::invalid_argument);
+  EXPECT_THROW((void)bottom_up_level_seconds(cpu, -1, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)bottom_up_level_seconds(cpu, 1, -1, 0),
+               std::invalid_argument);
 }
 
 // ---- Table IV shape properties -------------------------------------

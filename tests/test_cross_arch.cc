@@ -52,7 +52,9 @@ TEST(CrossArch, NeverReturnsToHost) {
   bool left_host = false;
   for (const obs::LevelEvent& lvl : run.levels) {
     if (lvl.device == "KeplerK20xGPU") left_host = true;
-    if (left_host) EXPECT_EQ(lvl.device, "KeplerK20xGPU");
+    if (left_host) {
+      EXPECT_EQ(lvl.device, "KeplerK20xGPU");
+    }
   }
   EXPECT_TRUE(left_host);
 }

@@ -68,14 +68,14 @@ TEST(Machine, PaperNodeHasGpuAndMic) {
 
 TEST(Machine, DeviceByNameFindsAll) {
   const Machine m = make_paper_node();
-  EXPECT_NO_THROW(m.device_by_name("SandyBridgeCPU"));
-  EXPECT_NO_THROW(m.device_by_name("KeplerK20xGPU"));
-  EXPECT_THROW(m.device_by_name("Cell"), std::out_of_range);
+  EXPECT_NO_THROW((void)m.device_by_name("SandyBridgeCPU"));
+  EXPECT_NO_THROW((void)m.device_by_name("KeplerK20xGPU"));
+  EXPECT_THROW((void)m.device_by_name("Cell"), std::out_of_range);
 }
 
 TEST(Machine, AcceleratorOutOfRangeThrows) {
   Machine m{Device{make_sandy_bridge_cpu()}, InterconnectSpec{}};
-  EXPECT_THROW(m.accelerator(0), std::out_of_range);
+  EXPECT_THROW((void)m.accelerator(0), std::out_of_range);
 }
 
 TEST(Machine, AddAcceleratorReturnsConsecutiveIndices) {
@@ -96,7 +96,7 @@ TEST(Machine, AcceleratorIndexSelectsTheRightDevice) {
   // The default argument selects the first accelerator.
   EXPECT_EQ(m.accelerator().name(), "KeplerK20xGPU");
   // One past the end throws; valid indices are untouched by the probe.
-  EXPECT_THROW(m.accelerator(2), std::out_of_range);
+  EXPECT_THROW((void)m.accelerator(2), std::out_of_range);
   EXPECT_EQ(m.num_accelerators(), 2u);
 }
 

@@ -94,8 +94,10 @@ ml::Dataset synthetic_policy_data(bool for_n) {
 
 TEST(Predictor, LearnsSmoothPolicySurface) {
   const SwitchPredictor pred(
-      ml::SvrModel::fit(synthetic_policy_data(false), {.c = 50, .epsilon = 0.02}),
-      ml::SvrModel::fit(synthetic_policy_data(true), {.c = 50, .epsilon = 0.02}));
+      ml::SvrModel::fit(synthetic_policy_data(false),
+                        {.kernel = {}, .c = 50, .epsilon = 0.02}),
+      ml::SvrModel::fit(synthetic_policy_data(true),
+                        {.kernel = {}, .c = 50, .epsilon = 0.02}));
   const GraphFeatures gf{2.0, 2 * 2 * 16.0, 0.57, 0.19, 0.19, 0.05};
   const sim::ArchSpec cpu = sim::make_sandy_bridge_cpu();
   const sim::ArchSpec gpu = sim::make_kepler_gpu();

@@ -60,7 +60,9 @@ void expect_rows_identical(const LandmarkCache& repaired,
       const auto a = repaired.distance(l, t);
       const auto b = rebuilt.distance(l, t);
       ASSERT_EQ(a.has_value(), b.has_value()) << l << " -> " << t;
-      if (a.has_value()) ASSERT_EQ(*a, *b) << l << " -> " << t;
+      if (a.has_value()) {
+        ASSERT_EQ(*a, *b) << l << " -> " << t;
+      }
     }
   }
 }

@@ -36,7 +36,8 @@ TEST(Svr, ConvergesOnSmoothTarget) {
 }
 
 TEST(Svr, RbfFitsNonlinearTargetWell) {
-  const SvrModel m = SvrModel::fit(sine_data(140, 7), {.c = 10, .epsilon = 0.05});
+  const SvrModel m = SvrModel::fit(sine_data(140, 7),
+                                   {.kernel = {}, .c = 10, .epsilon = 0.05});
   const Dataset test = sine_data(200, 99);
   EXPECT_GT(r_squared(test.y, m.predict_all(test)), 0.98);
 }
@@ -62,8 +63,10 @@ TEST(Svr, EpsilonTubeIgnoresSmallNoise) {
   SvrTrainInfo tight_info;
   SvrTrainInfo wide_info;
   const Dataset noisy = sine_data(100, 17, /*noise=*/0.1);
-  (void)SvrModel::fit(noisy, {.c = 10, .epsilon = 0.01}, &tight_info);
-  (void)SvrModel::fit(noisy, {.c = 10, .epsilon = 0.5}, &wide_info);
+  (void)SvrModel::fit(noisy, {.kernel = {}, .c = 10, .epsilon = 0.01},
+                      &tight_info);
+  (void)SvrModel::fit(noisy, {.kernel = {}, .c = 10, .epsilon = 0.5},
+                      &wide_info);
   EXPECT_LT(wide_info.support_vectors, tight_info.support_vectors);
 }
 
@@ -77,8 +80,9 @@ TEST(Svr, ConstantTargetPredictsConstant) {
 TEST(Svr, RejectsBadHyperparameters) {
   Dataset d;
   d.add({1.0}, 1.0);
-  EXPECT_THROW(SvrModel::fit(d, {.c = 0}), std::invalid_argument);
-  EXPECT_THROW(SvrModel::fit(d, {.epsilon = -0.1}), std::invalid_argument);
+  EXPECT_THROW(SvrModel::fit(d, {.kernel = {}, .c = 0}), std::invalid_argument);
+  EXPECT_THROW(SvrModel::fit(d, {.kernel = {}, .epsilon = -0.1}),
+               std::invalid_argument);
   EXPECT_THROW(SvrModel::fit(Dataset{}), std::invalid_argument);
 }
 
@@ -111,7 +115,8 @@ TEST_P(SvrSlopeSweep, FitsAffineFamily) {
     const double x = rng.next_double() * 2 - 1;
     train.add({x}, a * x + b);
   }
-  const SvrModel m = SvrModel::fit(train, {.c = 50, .epsilon = 0.01});
+  const SvrModel m =
+      SvrModel::fit(train, {.kernel = {}, .c = 50, .epsilon = 0.01});
   for (double q : {-0.8, -0.2, 0.3, 0.9}) {
     const double want = a * q + b;
     const double tolerance = 0.05 * (1.0 + std::abs(a));
@@ -192,7 +197,7 @@ TEST(Svr, TrainingResidualsStayInsideTheTube) {
   // epsilon tube widened by the tolerance, in unit-variance target
   // units (the solver's scale).
   const Dataset d = sine_data(100, 3);
-  const SvrParams p{.c = 100, .epsilon = 0.1};
+  const SvrParams p{.kernel = {}, .c = 100, .epsilon = 0.1};
   SvrTrainInfo info;
   const SvrModel m = SvrModel::fit(d, p, &info);
   ASSERT_TRUE(info.converged);
@@ -241,16 +246,20 @@ TEST(Svr, TighterTubeFitsACleanSignalBetter) {
     const double x = rng.next_double() * 3;
     (i < 90 ? train : test).add({x}, std::sin(2 * x));
   }
-  const SvrModel tight = SvrModel::fit(train, {.c = 10, .epsilon = 0.01});
-  const SvrModel wide = SvrModel::fit(train, {.c = 10, .epsilon = 0.3});
+  const SvrModel tight =
+      SvrModel::fit(train, {.kernel = {}, .c = 10, .epsilon = 0.01});
+  const SvrModel wide =
+      SvrModel::fit(train, {.kernel = {}, .c = 10, .epsilon = 0.3});
   EXPECT_LT(mean_squared_error(test.y, tight.predict_all(test)),
             mean_squared_error(test.y, wide.predict_all(test)));
 }
 
 TEST(Svr, LargerCFitsTrainingDataTighter) {
   const Dataset d = sine_data(100, 13);
-  const SvrModel loose = SvrModel::fit(d, {.c = 0.01, .epsilon = 0.05});
-  const SvrModel firm = SvrModel::fit(d, {.c = 10, .epsilon = 0.05});
+  const SvrModel loose =
+      SvrModel::fit(d, {.kernel = {}, .c = 0.01, .epsilon = 0.05});
+  const SvrModel firm =
+      SvrModel::fit(d, {.kernel = {}, .c = 10, .epsilon = 0.05});
   EXPECT_GT(mean_squared_error(d.y, loose.predict_all(d)),
             10 * mean_squared_error(d.y, firm.predict_all(d)));
 }
@@ -367,7 +376,8 @@ TEST(ModelBakeoff, SvrIsCompetitiveOnSwitchingPointData) {
   const core::TrainingData data = core::generate_training_data(cfg);
 
   const SplitResult split = train_test_split(data.m_data, 0.75, 11);
-  const SvrModel svr = SvrModel::fit(split.train, {.c = 10, .epsilon = 0.1});
+  const SvrModel svr =
+      SvrModel::fit(split.train, {.kernel = {}, .c = 10, .epsilon = 0.1});
   const double mse_svr =
       mean_squared_error(split.test.y, svr.predict_all(split.test));
 

@@ -229,7 +229,7 @@ TEST(MsBfs, RejectsBadBatches) {
                std::invalid_argument);
 }
 
-// --- Requests: level rows, target cells, and lanes that retire -----------
+// --- Requests: level rows beside trees -----------------------------------
 
 /// Runs `body` once per thread count the kernel must agree across.
 template <typename Body>
@@ -258,199 +258,51 @@ MsLane row_lane(vid_t root, std::vector<std::int32_t>& row) {
   return {.root = root, .record = MsLane::Record::kRow, .row = row};
 }
 
-MsLane cells_lane(vid_t root) {
-  return {.root = root, .record = MsLane::Record::kCells, .row = {}};
-}
-
-TEST(MsBfsRequest, RowsAndCellsMatchReferenceOnRmat) {
+TEST(MsBfsRequest, TreeAndRowLanesMatchReferenceOnRmat) {
   const CsrGraph g = rmat(12);
   const vid_t isolated = first_isolated(g);
   ASSERT_NE(isolated, kNoVertex);
   std::vector<vid_t> roots = graph::sample_roots(g, 12, 41);
   roots.push_back(isolated);
-  const std::vector<vid_t> far = graph::sample_roots(g, 6, 43);
+  roots.push_back(roots.front());  // a duplicate root in the other role
 
-  // Even lanes write level rows, odd lanes answer cells: the lane's own
-  // root, an isolated target, and a handful of sampled ones.
+  // Even lanes write level rows, odd lanes record trees, in one pass.
   const auto n = static_cast<std::size_t>(g.num_vertices());
   std::vector<std::vector<std::int32_t>> rows(roots.size(),
                                               std::vector<std::int32_t>(n, 7));
   MsBfsRequest req;
   for (std::size_t l = 0; l < roots.size(); ++l) {
-    if (l % 2 == 0) {
-      req.lanes.push_back(row_lane(roots[l], rows[l]));
-      continue;
-    }
-    req.lanes.push_back(cells_lane(roots[l]));
-    const int lane = static_cast<int>(l);
-    req.cells.push_back({lane, roots[l]});
-    req.cells.push_back({lane, isolated});
-    for (const vid_t t : far) req.cells.push_back({lane, t});
-  }
-
-  at_1_and_4_threads([&] {
-    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
-    ASSERT_EQ(ms.cells.size(), req.cells.size());
-    for (std::size_t l = 0; l < roots.size(); l += 2) {
-      EXPECT_EQ(rows[l], graph500::reference_bfs(g, roots[l]).level)
-          << "row of root " << roots[l];
-    }
-    for (std::size_t j = 0; j < req.cells.size(); ++j) {
-      const MsCell& c = req.cells[j];
-      const vid_t root = roots[static_cast<std::size_t>(c.lane)];
-      EXPECT_EQ(ms.cells[j], graph500::reference_bfs(g, root)
-                                 .level[static_cast<std::size_t>(c.target)])
-          << "root " << root << " target " << c.target;
-    }
-  });
-}
-
-TEST(MsBfsRequest, DirectedCellsCoverUnreachableAndIsolatedTargets) {
-  // 0 -> 1 -> 2 and 3 -> 4, 5 isolated: from root 0, vertex 4 has an
-  // in-edge but is unreachable, vertex 5 has none.
-  EdgeList el;
-  el.num_vertices = 6;
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(3, 4);
-  const CsrGraph g = build_directed_csr(std::move(el));
-  ASSERT_FALSE(g.is_symmetric());
-  MsBfsRequest req;
-  req.lanes = {cells_lane(0), cells_lane(5)};
-  req.cells = {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 2}, {1, 5}};
-  const std::vector<std::int32_t> want = {0, 1, 2, -1, -1, -1, -1, 0};
-  for (const MsBfsOptions::Mode mode :
-       {MsBfsOptions::Mode::kAuto, MsBfsOptions::Mode::kTopDown,
-        MsBfsOptions::Mode::kBottomUp}) {
-    MsBfsOptions opts;
-    opts.mode = mode;
-    EXPECT_EQ(ms_bfs(graph::CsrGraphView(g), req, opts).cells, want)
-        << "mode " << static_cast<int>(mode);
-  }
-
-  // Directed R-MAT: plenty of targets have in-edges yet no path from
-  // the root, so their lanes run until the frontier empties.
-  graph::RmatParams p;
-  p.scale = 10;
-  p.edgefactor = 8;
-  p.seed = 29;
-  const CsrGraph d = build_directed_csr(graph::generate_rmat(p));
-  const std::vector<vid_t> roots = graph::sample_roots(d, 8, 31);
-  MsBfsRequest sweep;
-  std::vector<BfsResult> ref;
-  int unreachable_entered = 0;
-  for (std::size_t l = 0; l < roots.size(); ++l) {
-    sweep.lanes.push_back(cells_lane(roots[l]));
-    ref.push_back(graph500::reference_bfs(d, roots[l]));
-    for (vid_t t = 0; t < d.num_vertices(); t += 5) {
-      sweep.cells.push_back({static_cast<int>(l), t});
-      if (ref.back().level[static_cast<std::size_t>(t)] < 0 &&
-          d.in_degree(t) > 0) {
-        ++unreachable_entered;
-      }
-    }
-  }
-  EXPECT_GT(unreachable_entered, 0);
-  at_1_and_4_threads([&] {
-    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(d), sweep);
-    for (std::size_t j = 0; j < sweep.cells.size(); ++j) {
-      const MsCell& c = sweep.cells[j];
-      EXPECT_EQ(ms.cells[j], ref[static_cast<std::size_t>(c.lane)]
-                                 .level[static_cast<std::size_t>(c.target)])
-          << "root " << roots[static_cast<std::size_t>(c.lane)] << " target "
-          << c.target;
-    }
-  });
-}
-
-TEST(MsBfsRequest, RetiringLanesLeaveOtherLanesBitEqual) {
-  const CsrGraph g = rmat(12, 16, 19);
-  const vid_t isolated = first_isolated(g);
-  ASSERT_NE(isolated, kNoVertex);
-  std::vector<vid_t> roots = graph::sample_roots(g, 30, 57);
-  roots.push_back(isolated);
-  roots.push_back(roots.front());  // a duplicate root in another role
-
-  // Lanes cycle tree, row, cells. Cells lanes ask for a neighbour of
-  // their root, so they retire after the first level.
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  std::vector<std::vector<std::int32_t>> rows(roots.size(),
-                                              std::vector<std::int32_t>(n));
-  MsBfsRequest mixed;
-  for (std::size_t l = 0; l < roots.size(); ++l) {
-    switch (l % 3) {
-      case 0:
-        mixed.lanes.push_back({.root = roots[l],
-                               .record = MsLane::Record::kTree,
-                               .row = {}});
-        break;
-      case 1:
-        mixed.lanes.push_back(row_lane(roots[l], rows[l]));
-        break;
-      default: {
-        mixed.lanes.push_back(cells_lane(roots[l]));
-        const auto nbrs = g.out_neighbors(roots[l]);
-        mixed.cells.push_back(
-            {static_cast<int>(l), nbrs.empty() ? roots[l] : nbrs.back()});
-        break;
-      }
-    }
+    req.lanes.push_back(
+        l % 2 == 0 ? row_lane(roots[l], rows[l])
+                   : MsLane{.root = roots[l],
+                            .record = MsLane::Record::kTree,
+                            .row = {}});
   }
 
   at_1_and_4_threads([&] {
     const MsBfsResult trees = ms_bfs(g, roots);
-    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), mixed);
+    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
     for (std::size_t l = 0; l < roots.size(); ++l) {
       SCOPED_TRACE(testing::Message() << "lane " << l << " root " << roots[l]);
-      const BfsResult& want = trees.per_root[l];
-      switch (mixed.lanes[l].record) {
-        case MsLane::Record::kTree: {
-          const BfsResult& got = ms.per_root[l];
-          EXPECT_EQ(got.level, want.level);
-          EXPECT_EQ(got.reached, want.reached);
-          EXPECT_EQ(got.edges_in_component, want.edges_in_component);
-          EXPECT_TRUE(validate_bfs(g, roots[l], got).ok);
-          ASSERT_EQ(ms.lane_levels[l].size(), trees.lane_levels[l].size());
-          for (std::size_t k = 0; k < ms.lane_levels[l].size(); ++k) {
-            EXPECT_EQ(ms.lane_levels[l][k].frontier_vertices,
-                      trees.lane_levels[l][k].frontier_vertices);
-            EXPECT_EQ(ms.lane_levels[l][k].frontier_edges,
-                      trees.lane_levels[l][k].frontier_edges);
-            EXPECT_EQ(ms.lane_levels[l][k].next_vertices,
-                      trees.lane_levels[l][k].next_vertices);
-          }
-          break;
-        }
-        case MsLane::Record::kRow:
-          EXPECT_EQ(rows[l], want.level);
-          EXPECT_TRUE(ms.per_root[l].level.empty());
-          break;
-        case MsLane::Record::kCells:
-          EXPECT_TRUE(ms.per_root[l].level.empty());
-          EXPECT_TRUE(ms.lane_levels[l].empty());
-          break;
+      if (l % 2 == 0) {
+        EXPECT_EQ(rows[l], graph500::reference_bfs(g, roots[l]).level);
+        EXPECT_TRUE(ms.per_root[l].level.empty());
+        EXPECT_TRUE(ms.lane_levels[l].empty());
+        continue;
+      }
+      expect_lane_matches_reference(g, roots[l], ms.per_root[l]);
+      // A tree lane's counters do not depend on what the other lanes
+      // record.
+      ASSERT_EQ(ms.lane_levels[l].size(), trees.lane_levels[l].size());
+      for (std::size_t k = 0; k < ms.lane_levels[l].size(); ++k) {
+        const MsLaneLevel& got = ms.lane_levels[l][k];
+        const MsLaneLevel& want = trees.lane_levels[l][k];
+        EXPECT_EQ(got.frontier_vertices, want.frontier_vertices) << k;
+        EXPECT_EQ(got.frontier_edges, want.frontier_edges) << k;
+        EXPECT_EQ(got.next_vertices, want.next_vertices) << k;
       }
     }
-    for (std::size_t j = 0; j < mixed.cells.size(); ++j) {
-      const MsCell& c = mixed.cells[j];
-      EXPECT_EQ(ms.cells[j],
-                trees.per_root[static_cast<std::size_t>(c.lane)]
-                    .level[static_cast<std::size_t>(c.target)]);
-    }
   });
-
-  // Alone, the cells lanes stop after the one level that reaches their
-  // targets, where full trees of the same roots run the whole depth.
-  MsBfsRequest cells_only;
-  for (std::size_t l = 2; l < roots.size(); l += 3) {
-    cells_only.lanes.push_back(cells_lane(roots[l]));
-  }
-  for (const MsCell& c : mixed.cells) {
-    cells_only.cells.push_back({c.lane / 3, c.target});
-  }
-  const MsBfsResult early = ms_bfs(graph::CsrGraphView(g), cells_only);
-  EXPECT_EQ(early.depth, 1);
-  EXPECT_GT(ms_bfs(g, roots).depth, 2);
 }
 
 #ifdef _OPENMP
@@ -505,32 +357,19 @@ TEST(MsBfsRequest, HubRootedRowsMatchAtEveryTeamSize) {
 }
 #endif  // _OPENMP
 
-TEST(MsBfsRequest, IsolatedRootsAndPreAnsweredCells) {
+TEST(MsBfsRequest, IsolatedRootReachesOnlyItself) {
   const CsrGraph g = rmat(10, 8, 3);
   const vid_t isolated = first_isolated(g);
   ASSERT_NE(isolated, kNoVertex);
-  const vid_t hub = graph::top_out_degree_vertices(g, 1).front();
-  // A tree rooted at an isolated vertex reaches only itself; a cells
-  // lane whose cells are all known up front never traverses.
   MsBfsRequest req;
-  req.lanes = {{.root = isolated, .record = MsLane::Record::kTree, .row = {}},
-               cells_lane(hub), cells_lane(isolated)};
-  req.cells = {{1, hub}, {1, isolated}, {2, isolated}, {2, hub}};
+  req.lanes = {{.root = isolated, .record = MsLane::Record::kTree, .row = {}}};
   const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
   EXPECT_EQ(ms.per_root[0].reached, 1);
   EXPECT_EQ(ms.per_root[0].edges_in_component, 0);
   EXPECT_EQ(ms.per_root[0].level, graph500::reference_bfs(g, isolated).level);
   ASSERT_EQ(ms.lane_levels[0].size(), 1u);
   EXPECT_EQ(ms.lane_levels[0][0].frontier_vertices, 1);
-  EXPECT_EQ(ms.cells, (std::vector<std::int32_t>{0, -1, 0, -1}));
-  EXPECT_EQ(ms.depth, 1);  // both live lanes sit on the isolated vertex
-
-  MsBfsRequest answered;
-  answered.lanes = {cells_lane(hub)};
-  answered.cells = {{0, hub}, {0, isolated}};
-  const MsBfsResult none = ms_bfs(graph::CsrGraphView(g), answered);
-  EXPECT_EQ(none.depth, 0);
-  EXPECT_EQ(none.cells, (std::vector<std::int32_t>{0, -1}));
+  EXPECT_EQ(ms.depth, 1);  // level 0 expands nothing and the lane is done
 }
 
 TEST(MsBfsRequest, LevelTimesAreMeasured) {
@@ -557,13 +396,6 @@ TEST(MsBfsRequest, RejectsBadRequests) {
   MsBfsRequest req;
   req.lanes = {row_lane(0, short_row)};
   EXPECT_THROW((void)ms_bfs(v, req), std::invalid_argument);
-  req.lanes = {cells_lane(0)};
-  req.cells = {{1, 3}};
-  EXPECT_THROW((void)ms_bfs(v, req), std::invalid_argument);
-  req.cells = {{0, 8}};
-  EXPECT_THROW((void)ms_bfs(v, req), std::invalid_argument);
-  req.cells = {{0, 7}};
-  EXPECT_EQ(ms_bfs(v, req).cells, std::vector<std::int32_t>{7});
 }
 
 // --- StatePool -----------------------------------------------------------

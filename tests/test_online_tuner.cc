@@ -53,14 +53,14 @@ TEST(OnlineTuner, ProbesStayInValidRange) {
     EXPECT_NO_THROW(p.validate());
     tuner.record(p, p.m);  // arbitrary deterministic cost
   }
-  EXPECT_NO_THROW(tuner.best());
+  EXPECT_NO_THROW((void)tuner.best());
 }
 
 TEST(OnlineTuner, IncrementalInterfaceGuards) {
   OnlineTuner tuner;
-  EXPECT_THROW(tuner.best(), std::logic_error);
+  EXPECT_THROW((void)tuner.best(), std::logic_error);
   while (!tuner.done()) tuner.record(tuner.next_probe(), 1.0);
-  EXPECT_THROW(tuner.next_probe(), std::logic_error);
+  EXPECT_THROW((void)tuner.next_probe(), std::logic_error);
   EXPECT_THROW(tuner.record({10, 10}, 1.0), std::logic_error);
 }
 

@@ -34,7 +34,7 @@ TEST(PerfCounters, UnavailableDegradesToZeroSamples) {
   // Burn a few instructions so an *available* PMU has something to
   // count; an unavailable one must still return all zeros.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   const PerfSample s = counters.stop();
   if (counters.available()) {
     EXPECT_TRUE(s.valid);
@@ -57,7 +57,7 @@ TEST(PerfCounters, RepeatedStartStopCyclesAreIndependent) {
   for (int round = 0; round < 3; ++round) {
     counters.start();
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<std::uint64_t>(i);
     const PerfSample s = counters.stop();
     EXPECT_EQ(s.valid, counters.available()) << round;
   }

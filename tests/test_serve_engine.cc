@@ -1,13 +1,15 @@
-// serve::QueryEngine: every served answer — batched, single-source,
-// cached, and post-insert — must be bit-equal to
-// graph500::reference_bfs on the pinned epoch's graph (levels exactly;
-// parent trees structurally, via validate_bfs, since MS-BFS top-down
-// levels tie-break by schedule).
+// serve::QueryEngine: every served answer — by bidirectional search,
+// single-source traversal or the cache, before and after inserts — must
+// be bit-equal to graph500::reference_bfs on the pinned epoch's graph
+// (levels exactly; parent trees structurally, via validate_bfs).
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <future>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
+#include "graph500/native_engine.h"
 #include "graph500/reference_bfs.h"
 #include "obs/sink.h"
 #include "serve/trace.h"
@@ -74,8 +77,10 @@ TEST(ServeEngine, BatchedAnswersAreBitEqualToReference) {
   QueryEngine engine(std::move(edges), opts);
 
   std::vector<std::future<QueryResult>> futures;
+  std::int64_t points = 0;
   for (std::size_t i = 0; i < roots.size(); ++i) {
     Query q;
+    points += i % 3 != 0;
     switch (i % 3) {
       case 0: q.kind = QueryKind::kBfs; break;
       case 1: q.kind = QueryKind::kDistance; break;
@@ -96,7 +101,7 @@ TEST(ServeEngine, BatchedAnswersAreBitEqualToReference) {
     expect_matches_reference(g, r);
   }
   const ServeStats st = engine.stats();
-  EXPECT_GT(st.batched_queries, 0);
+  EXPECT_EQ(st.pair_queries, points);
   EXPECT_GT(st.max_batch, 1);
   EXPECT_EQ(st.served, static_cast<std::int64_t>(futures.size()));
 }
@@ -118,13 +123,59 @@ TEST(ServeEngine, DuplicateSourcesShareOneTraversal) {
   const QueryResult ra = a.get();
   const QueryResult rb = b.get();
   ASSERT_TRUE(ra.ok && rb.ok);
-  EXPECT_EQ(ra.batch_lanes, 1);  // two queries, one distinct source
+  EXPECT_EQ(engine.stats().traversals, 1);  // two queries, one source
   EXPECT_EQ(ra.traversal, rb.traversal);  // literally the same map
 }
 
-// One tick whose pass records a tree, target cells, and lanes that
-// retire early, side by side: a source read by all three kinds,
-// isolated and self targets, and isolated sources.
+// A tick's trees run side by side on the worker and helper threads
+// started for the tick, each tree on one thread alone: every source
+// gets its own tree, and each tree's parents equal a traversal that had
+// the whole OpenMP team.
+TEST(ServeEngine, TreesOfOneTickRunSideBySide) {
+  graph::EdgeList edges = rmat_edges(9);
+  const graph::CsrGraph g = oracle_graph(edges);
+  const std::vector<graph::vid_t> roots = graph::sample_roots(g, 6, 41);
+
+  ServeOptions opts;
+  opts.workers = 1;  // one tick serves them all
+  opts.cache_enabled = false;
+  opts.start_paused = true;
+  QueryEngine engine(std::move(edges), opts);
+
+  std::vector<std::future<QueryResult>> futures;
+  for (const graph::vid_t root : roots) {
+    Query q;
+    q.kind = QueryKind::kBfs;
+    q.source = root;
+    futures.push_back(engine.submit(q));
+    futures.push_back(engine.submit(q));
+  }
+  engine.resume();
+
+  std::vector<QueryResult> results;
+  for (std::future<QueryResult>& f : futures) results.push_back(f.get());
+  for (std::size_t i = 0; i < results.size(); i += 2) {
+    const QueryResult& r = results[i];
+    expect_matches_reference(g, r);
+    ASSERT_NE(r.traversal, nullptr);
+    EXPECT_EQ(r.traversal, results[i + 1].traversal);  // one source
+    if (i > 0) {
+      EXPECT_NE(r.traversal, results[i - 2].traversal);
+    }
+    const bfs::BfsResult solo =
+        graph500::run_native(g, r.source, "native-hybrid", opts.policy,
+                             nullptr, nullptr)
+            .result;
+    EXPECT_EQ(r.traversal->parent, solo.parent) << "source " << r.source;
+  }
+  EXPECT_EQ(engine.stats().traversals,
+            static_cast<std::int64_t>(roots.size()));
+  EXPECT_EQ(engine.stats().max_batch,
+            static_cast<std::int64_t>(futures.size()));
+}
+
+// One tick of trees and point queries side by side: a source read by
+// all three kinds, isolated and self targets, and isolated sources.
 TEST(ServeEngine, MixedKindsOnSharedAndIsolatedVerticesMatchReference) {
   graph::EdgeList edges = rmat_edges(9, 5);
   const graph::CsrGraph g = oracle_graph(edges);
@@ -168,8 +219,10 @@ TEST(ServeEngine, MixedKindsOnSharedAndIsolatedVerticesMatchReference) {
   for (std::future<QueryResult>& f : futures) {
     const QueryResult r = f.get();
     expect_matches_reference(g, r);
-    EXPECT_EQ(r.batch_lanes, 4);  // shared, isolated[0..1], targets[1]
   }
+  EXPECT_EQ(engine.stats().traversals, 2);  // the two bfs sources
+  EXPECT_EQ(engine.stats().pair_queries,
+            static_cast<std::int64_t>(futures.size()) - 2);
   EXPECT_EQ(engine.stats().max_batch,
             static_cast<std::int64_t>(futures.size()));
 }
@@ -221,9 +274,8 @@ TEST(ServeEngine, EngineOverrideDispatchesSingleSource) {
   q.engine = "native-td";
   const QueryResult r = engine.submit(q).get();
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.batch_lanes, 0);  // not served by an MS-BFS pass
   expect_matches_reference(g, r);
-  EXPECT_EQ(engine.stats().single_queries, 1);
+  EXPECT_EQ(engine.stats().traversals, 1);
 }
 
 TEST(ServeEngine, RejectsCarryReasons) {
@@ -454,10 +506,9 @@ TEST(ServeEngine, EngineOverridesDispatchOnDeltaEpochs) {
     const QueryResult r = engine.submit(q).get();
     ASSERT_TRUE(r.ok) << name;
     EXPECT_EQ(r.epoch, 1u) << name;
-    EXPECT_EQ(r.batch_lanes, 0) << name;  // single-source path
     expect_matches_reference(oracle, r);
   }
-  EXPECT_EQ(engine.stats().single_queries, 5);
+  EXPECT_EQ(engine.stats().traversals, 5);
 }
 
 TEST(ServeEngine, VertexGrowthServesTheGrownGraphEndToEnd) {
@@ -591,6 +642,127 @@ TEST(ServeEngine, EnqueueEventsCarryTheObservedEpoch) {
   EXPECT_EQ(enqueue_epochs[0], 0u);
   EXPECT_EQ(enqueue_epochs[1], 1u);
 }
+
+/// Undirected key of an edge, as the symmetric epochs see it.
+std::uint64_t pair_key(graph::vid_t u, graph::vid_t v) {
+  const auto lo = static_cast<std::uint32_t>(std::min(u, v));
+  const auto hi = static_cast<std::uint32_t>(std::max(u, v));
+  return (std::uint64_t{lo} << 32) | hi;
+}
+
+/// The graph of the epoch after `present`'s writes: the base edges whose
+/// pair no write touched, plus every pair the last write left present.
+graph::CsrGraph epoch_graph(const graph::EdgeList& base,
+                            const std::map<std::uint64_t, bool>& present,
+                            graph::vid_t num_vertices) {
+  graph::EdgeList el;
+  el.num_vertices = num_vertices;
+  for (const graph::Edge& e : base.edges) {
+    if (!present.contains(pair_key(e.src, e.dst))) el.edges.push_back(e);
+  }
+  for (const auto& [key, is_present] : present) {
+    if (is_present) {
+      el.add(static_cast<graph::vid_t>(key >> 32),
+             static_cast<graph::vid_t>(key & 0xFFFFFFFFu));
+    }
+  }
+  return graph::build_csr(std::move(el));
+}
+
+/// A generated churn trace replayed in lockstep, one query in flight, by
+/// 1 and 4 workers (each with its own pair-search scratch, reused across
+/// epochs). Inserts, removals and a vertex-growing insert are published
+/// mid-trace; every answer must equal reference_bfs on the graph of the
+/// epoch it names, rebuilt from the base edges and the published writes.
+class LockstepChurn : public testing::TestWithParam<int> {};
+
+TEST_P(LockstepChurn, EveryAnswerMatchesItsEpochsGraph) {
+  const graph::EdgeList base = rmat_edges(10, 41);
+  const graph::CsrGraph g0 = oracle_graph(base);
+  const graph::vid_t n = g0.num_vertices();
+
+  TraceGenOptions gen;
+  gen.num_queries = 360;
+  gen.insert_every = 6;
+  gen.remove_every = 9;
+  gen.publish_every = 40;
+  gen.seed = 43;
+  std::vector<TraceOp> ops = generate_query_trace(g0, gen);
+  // Before the third publish, grow the vertex set: n + 2 joins through
+  // n + 1 (n arrives isolated); queries on the new ids follow it.
+  const auto third = std::find_if(
+      ops.begin(), ops.end(), [publishes = 0](const TraceOp& op) mutable {
+        return op.kind == TraceOp::Kind::kPublish && ++publishes == 3;
+      });
+  ASSERT_NE(third, ops.end());
+  const graph::vid_t hub = graph::top_out_degree_vertices(g0, 1).front();
+  std::vector<TraceOp> growth(5);
+  growth[0].kind = growth[1].kind = TraceOp::Kind::kInsert;
+  growth[0].u = hub;
+  growth[0].v = n + 1;
+  growth[1].u = n + 1;
+  growth[1].v = n + 2;
+  growth[2].kind = TraceOp::Kind::kPublish;
+  growth[3].query = {QueryKind::kDistance, hub, n + 2, ""};
+  growth[4].query = {QueryKind::kBfs, n + 2, 0, ""};
+  const auto at = ops.insert(std::next(third), growth.begin(), growth.end());
+  TraceOp isolated;
+  isolated.query = {QueryKind::kReachability, n, hub, ""};
+  ops.insert(std::next(at, 5), isolated);
+
+  ServeOptions opts;
+  opts.workers = GetParam();
+  opts.num_landmarks = 8;
+  QueryEngine engine(base, opts);
+
+  std::map<std::uint64_t, bool> present;
+  std::vector<std::pair<std::uint64_t, bool>> buffered;
+  graph::vid_t vertices = n;
+  graph::CsrGraph oracle = oracle_graph(base);
+  std::uint64_t epoch = 0;
+  std::int64_t queries = 0;
+  for (const TraceOp& op : ops) {
+    switch (op.kind) {
+      case TraceOp::Kind::kQuery: {
+        const QueryResult r = engine.submit(op.query).get();
+        SCOPED_TRACE(testing::Message() << "query " << queries << " epoch "
+                                        << epoch);
+        EXPECT_EQ(r.epoch, epoch);
+        expect_matches_reference(oracle, r);
+        ++queries;
+        break;
+      }
+      case TraceOp::Kind::kInsert:
+      case TraceOp::Kind::kRemove: {
+        const bool insert = op.kind == TraceOp::Kind::kInsert;
+        if (insert) {
+          engine.insert_edge(op.u, op.v);
+          vertices = std::max({vertices, op.u + 1, op.v + 1});
+        } else {
+          engine.remove_edge(op.u, op.v);
+        }
+        buffered.emplace_back(pair_key(op.u, op.v), insert);
+        break;
+      }
+      case TraceOp::Kind::kPublish:
+        epoch = engine.publish_inserts();
+        for (const auto& [key, insert] : buffered) present[key] = insert;
+        buffered.clear();
+        oracle = epoch_graph(base, present, vertices);
+        break;
+    }
+  }
+  const ServeStats st = engine.stats();
+  EXPECT_GE(epoch, 9u);
+  EXPECT_EQ(engine.num_vertices(), n + 3);
+  EXPECT_GT(st.edges_removed, 0);
+  EXPECT_GT(st.cache_hits, 0);
+  EXPECT_GT(st.pair_queries, 0);
+  EXPECT_GT(st.traversals, 0);
+  EXPECT_EQ(st.served, queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, LockstepChurn, testing::Values(1, 4));
 
 }  // namespace
 }  // namespace bfsx::serve

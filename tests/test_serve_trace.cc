@@ -106,6 +106,7 @@ TEST(ServeTrace, GenerationIsDeterministic) {
       case TraceOp::Kind::kQuery: ++queries; break;
       case TraceOp::Kind::kInsert: ++inserts; break;
       case TraceOp::Kind::kPublish: ++publishes; break;
+      case TraceOp::Kind::kRemove: ADD_FAILURE() << "remove at " << i; break;
     }
     if (a[i].kind == TraceOp::Kind::kQuery) {
       EXPECT_GE(a[i].query.source, 0);

@@ -23,8 +23,9 @@ TEST(Quantile, InterpolatesBetweenRanks) {
 }
 
 TEST(Quantile, RejectsBadInputs) {
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(std::vector<double>{1.0}, 1.5),
+               std::invalid_argument);
 }
 
 TEST(TepsStats, SingleValue) {
@@ -62,11 +63,11 @@ TEST(TepsStats, QuartilesOrdered) {
 }
 
 TEST(TepsStats, RejectsNonPositiveRates) {
-  EXPECT_THROW(compute_teps_stats(std::vector<double>{1.0, 0.0}),
+  EXPECT_THROW((void)compute_teps_stats(std::vector<double>{1.0, 0.0}),
                std::invalid_argument);
-  EXPECT_THROW(compute_teps_stats(std::vector<double>{-1.0}),
+  EXPECT_THROW((void)compute_teps_stats(std::vector<double>{-1.0}),
                std::invalid_argument);
-  EXPECT_THROW(compute_teps_stats({}), std::invalid_argument);
+  EXPECT_THROW((void)compute_teps_stats({}), std::invalid_argument);
 }
 
 TEST(TepsStats, FormatContainsGraph500Keys) {

@@ -136,8 +136,8 @@ TEST(TraceSink, JsonlSeparatesConsecutiveRuns) {
   JsonlWriter sink(out);
   const sim::Device cpu = cpu_device();
   for (const graph::vid_t root : roots) {
-    core::run_combination(g, root, cpu, core::HybridPolicy{14.0, 24.0},
-                          &sink);
+    (void)core::run_combination(g, root, cpu, core::HybridPolicy{14.0, 24.0},
+                                &sink);
   }
   const std::vector<std::string> lines = split_lines(out.str());
   std::int64_t max_run = -1;
