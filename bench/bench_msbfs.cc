@@ -141,15 +141,12 @@ int main() {
   // original and the degree-sorted graph (hub-first ids improve
   // frontier locality), serial dispatch at the widest thread count.
   {
-    const graph::Permutation perm = graph::degree_order(bg.csr);
-    const graph::EdgeList el = graph::generate_rmat(bg.params);
-    const graph::CsrGraph reordered =
-        graph::build_csr(graph::apply_permutation(el, perm));
+    graph::EdgeList el = graph::generate_rmat(bg.params);
+    const graph::Relabelling ids = graph::relabel_by_degree(el);
+    const graph::CsrGraph reordered = graph::build_csr(std::move(el));
     std::vector<graph::vid_t> mapped;
     mapped.reserve(roots.size());
-    for (const graph::vid_t r : roots) {
-      mapped.push_back(perm[static_cast<std::size_t>(r)]);
-    }
+    for (const graph::vid_t r : roots) mapped.push_back(ids.internal(r));
     const auto by_teps = [](const Measured& x) { return x.aggregate_teps; };
     const Measured base = bench::best_of(
         kRepeats,

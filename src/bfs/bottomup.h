@@ -7,6 +7,15 @@
 // (callback returns false to stop the scan) is the paper's "adopt the
 // first frontier predecessor and break" (Algorithm 2 line 12). The
 // historical CsrGraph overloads forward through graph::CsrGraphView.
+//
+// Candidates: the step scans a compacted list of unvisited vertices,
+// not 0..n. A candidate that misses after walking zero edges has an
+// empty in-row; the view is immutable for the traversal, so no level
+// can ever discover it, and it leaves the list. From the first
+// bottom-up level on, the list therefore holds every unvisited vertex
+// whose in-row is non-empty (plus stragglers top-down visited since),
+// and the |V| - reached unvisited count, not the list length, is what
+// the counters report — bit-equal to a full scan's.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +34,9 @@ namespace bfsx::bfs {
 /// Exact work counters for one bottom-up level.
 struct BottomUpStats {
   vid_t frontier_vertices = 0;  // |V|cq entering the level
-  vid_t unvisited_vertices = 0; // candidates that scanned for a parent
+  /// Vertices unvisited entering the level (|V| - reached): the ones a
+  /// full 0..n scan would search a parent for.
+  vid_t unvisited_vertices = 0;
   /// Loop trip count of the candidate scan: the length of the compacted
   /// unvisited list (or n for an unprimed probe's full scan). Strictly
   /// shrinks level over level; the gap to n is exactly the rescan work
@@ -56,23 +67,25 @@ struct BottomUpStats {
 /// Zero-rescan: instead of sweeping 0..n every level, the kernel
 /// iterates state.unvisited — primed on the first bottom-up level by a
 /// popcount-prefix decode of the clear visited bits, then compacted as
-/// vertices are discovered. The list is scanned in fixed blocks of
-/// kCompactBlock candidates; each block keeps its misses in order at
-/// its start and its discoveries in order at its end, so one prefix sum
-/// and one parallel scatter (gather_blocks) yield both the compacted
-/// list and the ascending next frontier queue — identical for every
-/// team size. The visited fold is a word-wise OR, the outgoing
-/// frontier's bitmap is cleared and recycled as the next scratch, and
-/// the discoveries' out-degrees are summed into state.frontier_edges,
-/// so no loop is serial in |V|, the candidate count or the frontier,
-/// and steady-state levels allocate nothing. All counters (|V|cq,
-/// unvisited, edges-scanned hit/miss, next) are bit-equal to the
-/// full-scan kernel's, and each parent is the first frontier
-/// in-neighbour in row order.
+/// vertices are discovered or found to have an empty in-row. The list
+/// is scanned in fixed blocks of kCompactBlock candidates; each block
+/// keeps its misses that walked an edge in order at its start and its
+/// discoveries in order at its end, so one prefix sum and one parallel
+/// scatter (gather_blocks) yield both the compacted list and the
+/// ascending next frontier queue — identical for every team size. The
+/// visited fold is a word-wise OR, the outgoing frontier's bitmap is
+/// cleared and recycled as the next scratch, and the discoveries'
+/// out-degrees are summed into state.frontier_edges, so no loop is
+/// serial in |V|, the candidate count or the frontier, and steady-state
+/// levels allocate nothing. All counters (|V|cq, unvisited,
+/// edges-scanned hit/miss, next) are bit-equal to the full-scan
+/// kernel's, and each parent is the first frontier in-neighbour in row
+/// order.
 template <graph::TransposeView V>
 BottomUpStats bottom_up_step(const V& g, BfsState& state) {
   BottomUpStats stats;
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
+  stats.unvisited_vertices = g.num_vertices() - state.reached;
 
   const std::int32_t next_level = state.current_level + 1;
   if (!state.unvisited_primed) {
@@ -99,7 +112,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
   spans.resize(compact_blocks(ncand));
   const auto nblocks = static_cast<std::int64_t>(spans.size());
 
-  vid_t unvisited = 0;
   eid_t scanned_hit = 0;
   eid_t scanned_miss = 0;
   vid_t found = 0;
@@ -107,7 +119,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
 
 #ifdef _OPENMP
 #pragma omp parallel if (nblocks > 1) \
-    reduction(+ : unvisited, scanned_hit, scanned_miss, found, next_edges)
+    reduction(+ : scanned_hit, scanned_miss, found, next_edges)
 #endif
   {
 #ifdef _OPENMP
@@ -127,7 +139,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
         // list was last compacted: dropped, and skipping them keeps
         // every counter equal to the full 0..n scan's.
         if (state.visited.test(static_cast<std::size_t>(v))) continue;
-        ++unvisited;
         // Algorithm 2 lines 9-12: scan predecessors, adopt the first
         // one found in the current frontier, then stop (the callback
         // returns false).
@@ -143,7 +154,9 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
         });
         if (from == kNoVertex) {
           scanned_miss += walked;
-          cand[kept++] = v;  // still unvisited: stays a candidate
+          // Still unvisited: stays a candidate, unless its in-row is
+          // empty and no level can ever discover it.
+          if (walked != 0) cand[kept++] = v;
           continue;
         }
         scanned_hit += walked;
@@ -168,7 +181,6 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
   state.visited |= next;
   state.unvisited.swap(state.unvisited_spare);
 
-  stats.unvisited_vertices = unvisited;
   stats.edges_scanned_hit = scanned_hit;
   stats.edges_scanned_miss = scanned_miss;
   stats.next_vertices = found;
@@ -180,10 +192,10 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state) {
   state.frontier_bitmap.reset();
   state.frontier_bitmap.swap(next);
   // The clear and the compaction must restore every inter-step
-  // invariant (scratch all-clear, unvisited exact); state-level
+  // invariant (scratch all-clear, candidate list complete); state-level
   // validation at each step makes a broken one fail here, at its
   // source, instead of levels later.
-  BFSX_PARANOID(state.assert_invariants(g.num_vertices()));
+  BFSX_PARANOID(state.assert_invariants(g));
   BFSX_PARANOID(BFSX_CHECK_EQ(state.frontier_edges,
                               frontier_out_edges(g, state.frontier_queue)));
   return stats;
@@ -201,7 +213,7 @@ template <graph::TransposeView V>
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
 
   const vid_t n = g.num_vertices();
-  vid_t unvisited = 0;
+  stats.unvisited_vertices = n - state.reached;
   eid_t scanned_hit = 0;
   eid_t scanned_miss = 0;
   vid_t found = 0;
@@ -231,19 +243,19 @@ template <graph::TransposeView V>
 
   if (state.unvisited_primed) {
     // A bottom-up step already primed the candidate list; probing it
-    // (stragglers skip via the visited test) yields the exact counters
+    // (stragglers skip via the visited test, and the vertices it lacks
+    // have empty in-rows, which walk nothing) yields the exact counters
     // of a full scan at a fraction of the iterations.
     const auto& cand = state.unvisited;
     const std::size_t ncand = cand.size();
     stats.candidates = static_cast<vid_t>(ncand);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1024) \
-    reduction(+ : unvisited, scanned_hit, scanned_miss, found)
+    reduction(+ : scanned_hit, scanned_miss, found)
 #endif
     for (std::size_t i = 0; i < ncand; ++i) {
       const Probe p = probe_one(cand[i]);
       if (p.walked < 0) continue;
-      ++unvisited;
       if (p.hit) {
         ++found;
         scanned_hit += p.walked;
@@ -255,12 +267,11 @@ template <graph::TransposeView V>
     stats.candidates = n;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1024) \
-    reduction(+ : unvisited, scanned_hit, scanned_miss, found)
+    reduction(+ : scanned_hit, scanned_miss, found)
 #endif
     for (vid_t v = 0; v < n; ++v) {
       const Probe p = probe_one(v);
       if (p.walked < 0) continue;
-      ++unvisited;
       if (p.hit) {
         ++found;
         scanned_hit += p.walked;
@@ -270,7 +281,6 @@ template <graph::TransposeView V>
     }
   }
 
-  stats.unvisited_vertices = unvisited;
   stats.edges_scanned_hit = scanned_hit;
   stats.edges_scanned_miss = scanned_miss;
   stats.next_vertices = found;

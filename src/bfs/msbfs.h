@@ -332,8 +332,9 @@ template <graph::HybridView V>
   active.erase(std::unique(active.begin(), active.end()), active.end());
 
   // Bottom-up candidate list: vertices some live lane has not seen yet.
-  // Primed lazily on the first bottom-up level, then compacted like the
-  // single-source kernel's zero-rescan list, by the same ordered
+  // Primed lazily on the first bottom-up level — without vertices whose
+  // in-row is empty, which no lane can ever reach — then compacted like
+  // the single-source kernel's zero-rescan list, by the same ordered
   // parallel filter (bfs/frontier.h) staging through `spare`.
   graph::UninitVector<vid_t> candidates;
   graph::UninitVector<vid_t> spare;
@@ -396,7 +397,10 @@ template <graph::HybridView V>
         spare.resize(nn);
         filter_ordered(
             nn, spare.data(), s.spans, candidates,
-            [](std::size_t v) { return static_cast<vid_t>(v); }, unfinished);
+            [](std::size_t v) { return static_cast<vid_t>(v); },
+            [&g, &unfinished](vid_t v) {
+              return unfinished(v) && graph::has_in_edge(g, v);
+            });
         candidates_primed = true;
       }
       detail::ms_bottom_up_step(g, candidates, s, next_level);

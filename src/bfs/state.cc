@@ -44,8 +44,9 @@ void BfsState::reset(vid_t num_vertices, vid_t root) {
   reached = 1;
 }
 
-void BfsState::check_invariants(vid_t num_vertices,
-                                check::CheckReport& report) const {
+void BfsState::check_invariants(
+    vid_t num_vertices, const std::function<bool(vid_t)>& has_in_edge,
+    check::CheckReport& report) const {
   const auto n = static_cast<std::size_t>(num_vertices);
   if (parent.size() != n || level.size() != n || visited.size() != n) {
     report.failf() << "map sizes (parent " << parent.size() << ", level "
@@ -145,11 +146,11 @@ void BfsState::check_invariants(vid_t num_vertices,
                        << " >= " << unvisited[i] << ")";
       }
     }
-    // Superset walk: every not-yet-visited vertex must appear. The list
-    // is ascending, so one merge pass suffices.
+    // Superset walk: every not-yet-visited vertex with an in-edge must
+    // appear. The list is ascending, so one merge pass suffices.
     std::size_t cursor = 0;
     for (std::size_t v = 0; v < n && report.wants_more(); ++v) {
-      if (visited.test(v)) continue;
+      if (visited.test(v) || !has_in_edge(static_cast<vid_t>(v))) continue;
       while (cursor < unvisited.size() &&
              static_cast<std::size_t>(unvisited[cursor]) < v) {
         ++cursor;  // stragglers (already visited) are legal
@@ -162,12 +163,6 @@ void BfsState::check_invariants(vid_t num_vertices,
       }
     }
   }
-}
-
-void BfsState::assert_invariants(vid_t num_vertices) const {
-  check::CheckReport report;
-  check_invariants(num_vertices, report);
-  report.throw_if_failed("BfsState::check_invariants");
 }
 
 }  // namespace bfsx::bfs

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bfs/frontier.h"
@@ -11,6 +12,7 @@
 #include "graph/csr.h"
 #include "graph/types.h"
 #include "graph/uninit_vector.h"
+#include "graph/view.h"
 
 namespace bfsx::bfs {
 
@@ -85,14 +87,16 @@ struct BfsState {
   eid_t frontier_edges = -1;
 
   /// Bottom-up candidate list: once primed (first bottom-up level) it
-  /// holds, in ascending order, a superset of the unvisited vertices —
-  /// exact right after a bottom-up step, possibly carrying stragglers
-  /// that interleaved top-down steps visited since. bottom_up_step
-  /// iterates it instead of rescanning 0..n and compacts it each level
-  /// into `unvisited_spare`, then swaps the two; stale entries are
-  /// skipped via the visited test, so the kernel counters are identical
-  /// to a full scan's. Default-initialising storage: every slot is
-  /// written by the decode or the compaction before it is read.
+  /// holds, in ascending order, every unvisited vertex whose in-row is
+  /// non-empty — exactly those right after a bottom-up step, possibly
+  /// with stragglers that interleaved top-down steps visited since. A
+  /// vertex with an empty in-row can never be discovered, so the first
+  /// step that scans it drops it. bottom_up_step iterates the list
+  /// instead of rescanning 0..n and compacts it each level into
+  /// `unvisited_spare`, then swaps the two; stale entries are skipped
+  /// via the visited test, so the kernel counters are identical to a
+  /// full scan's. Default-initialising storage: every slot is written
+  /// by the decode or the compaction before it is read.
   graph::UninitVector<vid_t> unvisited;
   graph::UninitVector<vid_t> unvisited_spare;
   bool unvisited_primed = false;
@@ -150,21 +154,46 @@ struct BfsState {
   ///   * frontier queue and bitmap hold the same vertex set, all at
   ///     current_level;
   ///   * `bu_scratch` is all-clear (the zero-rescan invariant);
-  ///   * once primed, `unvisited` is strictly ascending and a superset
-  ///     of the not-yet-visited vertices (stragglers visited by
-  ///     interleaved top-down steps are legal leftovers).
-  void check_invariants(vid_t num_vertices, check::CheckReport& report) const;
+  ///   * once primed, `unvisited` is strictly ascending and holds every
+  ///     not-yet-visited vertex for which `has_in_edge` is true
+  ///     (stragglers visited by interleaved top-down steps are legal
+  ///     leftovers, and so are vertices with empty in-rows).
+  void check_invariants(vid_t num_vertices,
+                        const std::function<bool(vid_t)>& has_in_edge,
+                        check::CheckReport& report) const;
 
-  void check_invariants(const CsrGraph& g, check::CheckReport& report) const {
-    check_invariants(g.num_vertices(), report);
+  /// The same checks on the graph `g` the state traverses. A view
+  /// without in-neighbour access cannot have run a bottom-up step, so
+  /// there every unvisited vertex counts as having an in-edge.
+  template <graph::GraphView V>
+  void check_invariants(const V& g, check::CheckReport& report) const {
+    check_invariants(
+        g.num_vertices(),
+        [&g](vid_t v) {
+          if constexpr (graph::TransposeView<V>) {
+            return graph::has_in_edge(g, v);
+          } else {
+            return true;
+          }
+        },
+        report);
   }
 
-  /// Convenience wrapper: throws check::ContractViolation listing every
+  void check_invariants(const CsrGraph& g, check::CheckReport& report) const {
+    check_invariants(graph::CsrGraphView(g), report);
+  }
+
+  /// Convenience wrappers: throw check::ContractViolation listing every
   /// retained failure.
-  void assert_invariants(vid_t num_vertices) const;
+  template <graph::GraphView V>
+  void assert_invariants(const V& g) const {
+    check::CheckReport report;
+    check_invariants(g, report);
+    report.throw_if_failed("BfsState::check_invariants");
+  }
 
   void assert_invariants(const CsrGraph& g) const {
-    assert_invariants(g.num_vertices());
+    assert_invariants(graph::CsrGraphView(g));
   }
 
   /// Extracts the final result (parent/level maps are moved out).

@@ -207,7 +207,7 @@ TopDownStats top_down_step(const V& g, BfsState& state) {
   // Catches a lost claim (parent written without the level, a double
   // discovery) at the level it happened, including the straggler
   // bookkeeping this step leaves in a primed bottom-up candidate list.
-  BFSX_PARANOID(state.assert_invariants(g.num_vertices()));
+  BFSX_PARANOID(state.assert_invariants(g));
   BFSX_PARANOID(BFSX_CHECK_EQ(state.frontier_edges,
                               frontier_out_edges(g, state.frontier_queue)));
   return stats;

@@ -94,25 +94,7 @@ std::vector<vid_t> sample_roots(const CsrGraph& g, int count,
 
 std::vector<vid_t> top_out_degree_vertices(const CsrGraph& g,
                                             std::size_t k) {
-  const vid_t n = g.num_vertices();
-  std::vector<vid_t> order(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  const auto hubbier = [&g](vid_t a, vid_t b) {
-    const eid_t da = g.out_degree(a);
-    const eid_t db = g.out_degree(b);
-    return da != db ? da > db : a < b;
-  };
-  const std::size_t want = std::min(k, static_cast<std::size_t>(n));
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(want),
-                    order.end(), hubbier);
-  std::vector<vid_t> hubs;
-  hubs.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    if (g.out_degree(order[i]) == 0) break;  // only isolated ones left
-    hubs.push_back(order[i]);
-  }
-  return hubs;
+  return top_out_degree_vertices(CsrGraphView(g), k);
 }
 
 std::string summarize(const CsrGraph& g) {

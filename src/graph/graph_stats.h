@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,17 +58,20 @@ struct ComponentStats {
 
 /// The same hub selection over any GraphView (delta-CSR epochs, grid
 /// worlds) — identical degree/tie semantics, so a landmark set chosen
-/// on a delta epoch matches one chosen on its flat rebuild.
-template <GraphView V>
+/// on a delta epoch matches one chosen on its flat rebuild. Ties go to
+/// the smaller `tie_key(v)`: the id itself by default, or, on a
+/// relabelled graph, the id the caller knows the vertex by.
+template <GraphView V, typename TieKey = std::identity>
 [[nodiscard]] std::vector<vid_t> top_out_degree_vertices(const V& g,
-                                                         std::size_t k) {
+                                                         std::size_t k,
+                                                         TieKey tie_key = {}) {
   const vid_t n = g.num_vertices();
   std::vector<vid_t> order(static_cast<std::size_t>(n));
   for (vid_t v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  const auto hubbier = [&g](vid_t a, vid_t b) {
+  const auto hubbier = [&g, &tie_key](vid_t a, vid_t b) {
     const eid_t da = g.out_degree(a);
     const eid_t db = g.out_degree(b);
-    return da != db ? da > db : a < b;
+    return da != db ? da > db : tie_key(a) < tie_key(b);
   };
   const std::size_t want = std::min(k, static_cast<std::size_t>(n));
   std::partial_sort(order.begin(),

@@ -80,6 +80,18 @@ concept TransposeView =
       g.for_each_in_neighbor(v, scan);
     };
 
+/// Whether `v` has an in-neighbour: the first step of its in-row scan.
+/// A vertex without one can never be discovered bottom-up.
+template <TransposeView V>
+[[nodiscard]] bool has_in_edge(const V& g, vid_t v) {
+  bool any = false;
+  g.for_each_in_neighbor(v, [&any](vid_t) {
+    any = true;
+    return false;
+  });
+  return any;
+}
+
 /// Capability: exact directed edge count, required by the paper's M/N
 /// switching heuristic (|E|cq < |E|/M) and by hybrid/adaptive drivers.
 template <typename V>

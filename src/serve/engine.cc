@@ -38,6 +38,27 @@ void answer_tree(QueryResult& r,
   r.distance = 0;
 }
 
+/// `tree` with every vertex id mapped out through `ids`: one parallel
+/// scatter over internal ids, on the thread or team that ran the tree.
+bfs::BfsResult map_out(const bfs::BfsResult& tree,
+                       const graph::Relabelling& ids) {
+  bfs::BfsResult out;
+  out.reached = tree.reached;
+  out.edges_in_component = tree.edges_in_component;
+  out.parent.resize(tree.parent.size());
+  out.level.resize(tree.level.size());
+  const auto n = static_cast<std::int64_t>(tree.level.size());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t w = 0; w < n; ++w) {
+    const auto i = static_cast<std::size_t>(w);
+    const auto x =
+        static_cast<std::size_t>(ids.external(static_cast<graph::vid_t>(w)));
+    out.level[x] = tree.level[i];
+    out.parent[x] = ids.external(tree.parent[i]);
+  }
+  return out;
+}
+
 /// Answers a distance or reachability query with its target's level.
 void answer_cell(QueryResult& r, std::int32_t distance) {
   r.ok = true;
@@ -92,6 +113,7 @@ class OneThreadRegions {
 
 QueryEngine::QueryEngine(graph::EdgeList edges, ServeOptions opts)
     : opts_(std::move(opts)),
+      ids_(graph::relabel_by_degree(edges)),
       epochs_(std::move(edges),
               EpochOptions{.build = {},
                            .delta_publish = opts_.delta_publish,
@@ -165,7 +187,8 @@ std::future<QueryResult> QueryEngine::submit(Query q) {
                            q.kind != QueryKind::kBfs && cache_ != nullptr &&
                            cache_->epoch() == epochs_.current_epoch();
     if (cacheable) {
-      if (const auto hit = cache_->distance(q.source, q.target)) {
+      if (const auto hit = cache_->distance(ids_.internal(q.source),
+                                            ids_.internal(q.target))) {
         ++stats_.cache_hits;
         ++stats_.served;
         const std::uint64_t epoch = cache_->epoch();
@@ -218,14 +241,15 @@ std::future<QueryResult> QueryEngine::submit(Query q) {
 }
 
 void QueryEngine::insert_edge(graph::vid_t u, graph::vid_t v) {
-  epochs_.buffer_insert(u, v);
+  const graph::Edge e{ids_.internal(u), ids_.internal(v)};
+  epochs_.buffer_insert(e.src, e.dst);
   const std::lock_guard<std::mutex> lock(mu_);
-  pending_insert_log_.push_back({u, v});
+  pending_insert_log_.push_back(e);
   ++stats_.edges_inserted;
 }
 
 void QueryEngine::remove_edge(graph::vid_t u, graph::vid_t v) {
-  epochs_.buffer_remove(u, v);
+  epochs_.buffer_remove(ids_.internal(u), ids_.internal(v));
   const std::lock_guard<std::mutex> lock(mu_);
   pending_had_removes_ = true;
   ++stats_.edges_removed;
@@ -402,7 +426,8 @@ void QueryEngine::serve_pairs(std::vector<Pending> points,
       for (const Pending& p : points) {
         QueryResult r = skeleton(p.query);
         r.epoch = pin.epoch();
-        answer_cell(r, bfs::pair_distance(g, p.query.source, p.query.target,
+        answer_cell(r, bfs::pair_distance(g, ids_.internal(p.query.source),
+                                          ids_.internal(p.query.target),
                                           scratch));
         results.push_back(std::move(r));
       }
@@ -450,18 +475,21 @@ void QueryEngine::serve_traversals(std::vector<std::vector<Pending>> groups,
   //
   // Flat and delta epochs alike run the wall-clock M/N loop; every
   // engine reaches the same levels and parents, so an override changes
-  // only the dispatch event's name.
+  // only the dispatch event's name. Each tree is mapped out to external
+  // ids where it ran.
   std::vector<std::shared_ptr<const bfs::BfsResult>> trees(groups.size());
   std::vector<std::exception_ptr> errors(groups.size());
   const auto traverse = [&](std::size_t k) {
     try {
-      trees[k] = std::make_shared<const bfs::BfsResult>(
+      const graph::vid_t source =
+          ids_.internal(groups[k].front().query.source);
+      trees[k] = std::make_shared<const bfs::BfsResult>(map_out(
           pin.graph().visit([&](const auto& g) {
-            return graph500::run_native(g, groups[k].front().query.source,
-                                        "native-hybrid", opts_.policy,
-                                        nullptr, &pool_)
+            return graph500::run_native(g, source, "native-hybrid",
+                                        opts_.policy, nullptr, &pool_)
                 .result;
-          }));
+          }),
+          ids_));
     } catch (...) {
       errors[k] = std::current_exception();
     }
@@ -536,9 +564,13 @@ void QueryEngine::emit(const obs::QueryEvent& e) {
 void QueryEngine::rebuild_cache() {
   if (!opts_.cache_enabled) return;
   const GraphEpochs::Pin pin = epochs_.pin();
+  // Degree ties go to the smaller external id: the landmark set is the
+  // one the graph in the caller's labelling has.
   auto fresh =
       std::make_shared<const LandmarkCache>(pin.graph().visit([&](const auto& g) {
-        return LandmarkCache::build(g, pin.epoch(), opts_.num_landmarks);
+        return LandmarkCache::build(
+            g, pin.epoch(), opts_.num_landmarks,
+            [this](graph::vid_t v) { return ids_.external(v); });
       }));
   const std::lock_guard<std::mutex> lock(mu_);
   cache_ = std::move(fresh);

@@ -32,6 +32,17 @@
 // scratch when it removed edges. In-flight ticks keep serving the
 // epoch they pinned — an answer is always bit-equal to reference_bfs
 // on its own epoch's graph, never a blend.
+//
+// Labelling: the resident graph is built with its vertices relabelled
+// by descending degree (graph/reorder.h), so hubs come first in every
+// in-row a bottom-up level scans. Every id behind this API is internal
+// — epochs, overlays, the landmark cache, pair scratch, pooled states —
+// and ids are mapped only here: in for queries, writes and the repair
+// log, out for trees. Ids past the initial vertex count map to
+// themselves, so vertex-set growth extends the relabelling as the
+// identity. Callers see their own ids only; distances do not depend on
+// labels, and a tree's parents are the frontier in-neighbours with the
+// smallest internal id.
 #pragma once
 
 #include <array>
@@ -50,6 +61,7 @@
 #include "bfs/pair_distance.h"
 #include "bfs/state_pool.h"
 #include "core/hybrid_policy.h"
+#include "graph/reorder.h"
 #include "graph500/engine_registry.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
@@ -119,8 +131,9 @@ struct ServeStats {
 
 class QueryEngine {
  public:
-  /// Builds epoch 0 from `edges` and starts the worker pool. Throws
-  /// std::invalid_argument when `opts.policy` has M or N below 1.
+  /// Relabels `edges` by descending degree, builds epoch 0 from them
+  /// and starts the worker pool. Throws std::invalid_argument when
+  /// `opts.policy` has M or N below 1.
   explicit QueryEngine(graph::EdgeList edges, ServeOptions opts = {});
   ~QueryEngine();  // shutdown(): pending queries reject kShutdown
 
@@ -178,6 +191,7 @@ class QueryEngine {
   [[nodiscard]] ServeStats stats() const;
   [[nodiscard]] std::uint64_t current_epoch() const;
   [[nodiscard]] graph::vid_t num_vertices() const;
+  /// The resident graph's epochs, in internal ids.
   [[nodiscard]] GraphEpochs& epochs() noexcept { return epochs_; }
   [[nodiscard]] const bfs::StatePool& state_pool() const noexcept {
     return pool_;
@@ -204,6 +218,9 @@ class QueryEngine {
                    bool had_removes, std::uint64_t epoch);
 
   ServeOptions opts_;
+  /// External (caller) ids to internal ones and back; built from the
+  /// edge list before epoch 0, so declared before epochs_.
+  graph::Relabelling ids_;
   GraphEpochs epochs_;
   bfs::StatePool pool_;
   graph500::EngineRegistry registry_;
@@ -215,9 +232,9 @@ class QueryEngine {
   std::shared_ptr<const LandmarkCache> cache_;
   ServeStats stats_;
   RepairStats last_repair_;
-  /// Writer-side log of buffered inserts since the last publish —
-  /// the seed list for landmark repair. Raw (pre-dedup) is fine:
-  /// duplicate seeds relax to no-ops.
+  /// Writer-side log of buffered inserts since the last publish, in
+  /// internal ids — the seed list for landmark repair. Raw (pre-dedup)
+  /// is fine: duplicate seeds relax to no-ops.
   std::vector<graph::Edge> pending_insert_log_;
   bool pending_had_removes_ = false;
   /// Publish-duration histogram: log-scale upper bounds

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -61,16 +62,19 @@ class LandmarkCache {
  public:
   /// Builds the cache over `g` (stamped with `epoch`): selects up to
   /// `num_landmarks` highest-out-degree vertices (ties to the smaller
-  /// id, zero-degree vertices excluded), then runs one MS-BFS pass
-  /// with one lane per landmark. `num_landmarks` is clamped to
-  /// [0, 64]; an empty graph or k = 0 yields an always-miss cache.
-  template <graph::HybridView V>
+  /// `tie_key(v)` — the id by default — zero-degree vertices
+  /// excluded), then runs one MS-BFS pass with one lane per landmark.
+  /// `num_landmarks` is clamped to [0, 64]; an empty graph or k = 0
+  /// yields an always-miss cache.
+  template <graph::HybridView V, typename TieKey = std::identity>
   [[nodiscard]] static LandmarkCache build(const V& g, std::uint64_t epoch,
-                                           int num_landmarks) {
+                                           int num_landmarks,
+                                           TieKey tie_key = {}) {
     const int k = std::clamp(num_landmarks, 0, bfs::kMsBfsMaxLanes);
     std::vector<graph::vid_t> hubs;
     if (k > 0 && g.num_vertices() > 0) {
-      hubs = graph::top_out_degree_vertices(g, static_cast<std::size_t>(k));
+      hubs = graph::top_out_degree_vertices(g, static_cast<std::size_t>(k),
+                                            tie_key);
     }
     return build_with(g, epoch, std::move(hubs));
   }

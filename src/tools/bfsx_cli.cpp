@@ -94,6 +94,27 @@ graph::CsrGraph load_graph(const Args& args, graph::RmatParams* params_out) {
   return graph::build_csr(load_edges(args, params_out));
 }
 
+/// A relabelled graph seen under its original ids: what root sampling
+/// reads, so `--reorder` samples the roots an unreordered run would.
+struct OriginalIds {
+  const graph::CsrGraph* g;
+  const graph::Relabelling* ids;
+
+  [[nodiscard]] graph::vid_t num_vertices() const {
+    return g->num_vertices();
+  }
+  [[nodiscard]] bool is_symmetric() const { return g->is_symmetric(); }
+  [[nodiscard]] graph::eid_t out_degree(graph::vid_t v) const {
+    return g->out_degree(ids->internal(v));
+  }
+  template <typename Fn>
+  void for_each_out_neighbor(graph::vid_t v, Fn&& fn) const {
+    for (const graph::vid_t w : g->out_neighbors(ids->internal(v))) {
+      fn(ids->external(w));
+    }
+  }
+};
+
 sim::Device device_from_spec(const std::string& text) {
   if (text == "cpu" || text == "gpu" || text == "mic") {
     return sim::Device{sim::parse_arch_spec("base=" + text + ",name=" + text)};
@@ -284,40 +305,29 @@ int cmd_bfs(const Args& args) {
         "concurrent roots would interleave their trace events");
   }
 
-  graph::RmatParams params;
-  const graph::EdgeList edges = load_edges(args, &params);
-  const int num_roots = args.get_int("roots", 8);
-
-  // --reorder relabels the graph before traversal. Roots are sampled on
-  // the *original* labelling (with the runner's default seed) and
-  // mapped through the permutation, so a reordered run traverses the
-  // same logical roots as an unreordered one; reported roots are
-  // translated back below.
+  // --reorder degree relabels the edge list by descending degree, then
+  // the graph is built once. Roots are sampled on the *original*
+  // labelling (with the runner's default seed) and mapped in, so a
+  // reordered run traverses the same logical roots as an unreordered
+  // one; reported roots are translated back below.
   const std::string reorder = args.get_or("reorder", "none");
-  graph::Permutation perm;
+  if (reorder != "none" && reorder != "degree") {
+    throw std::invalid_argument("--reorder: expected none or degree, got '" +
+                                reorder + "'");
+  }
+  graph::RmatParams params;
+  graph::EdgeList edges = load_edges(args, &params);
+  const int num_roots = args.get_int("roots", 8);
+  std::optional<graph::Relabelling> ids;
+  if (reorder == "degree") ids = graph::relabel_by_degree(edges);
+  const graph::CsrGraph g = graph::build_csr(std::move(edges));
   std::vector<graph::vid_t> explicit_roots;
-  graph::CsrGraph g;
-  if (reorder == "none") {
-    g = graph::build_csr(edges);
-  } else {
-    const graph::CsrGraph original = graph::build_csr(edges);
-    const std::vector<graph::vid_t> sampled =
-        graph::sample_roots(original, num_roots, 500);
-    if (reorder == "degree") {
-      perm = graph::degree_order(original);
-    } else if (reorder == "bfs") {
-      perm = graph::bfs_order(original, sampled.front());
-    } else {
-      throw std::invalid_argument("--reorder: expected degree or bfs, got '" +
-                                  reorder + "'");
-    }
-    g = graph::build_csr(graph::apply_permutation(edges, perm));
-    explicit_roots.reserve(sampled.size());
-    for (const graph::vid_t r : sampled) {
-      explicit_roots.push_back(perm[static_cast<std::size_t>(r)]);
-    }
-    std::printf("reorder: %s order applied (%zu vertices relabelled)\n",
-                reorder.c_str(), perm.size());
+  if (ids) {
+    explicit_roots =
+        graph::sample_view_roots(OriginalIds{&g, &*ids}, num_roots, 500);
+    for (graph::vid_t& r : explicit_roots) r = ids->internal(r);
+    std::printf("reorder: degree order applied (%d vertices relabelled)\n",
+                ids->size());
   }
   std::printf("graph: %s\n", graph::summarize(g).c_str());
 
@@ -416,12 +426,10 @@ int cmd_bfs(const Args& args) {
   std::printf("%s", graph500::format_teps_stats(res.stats).c_str());
   std::printf("validation failures: %d / %zu\n", res.validation_failures,
               res.runs.size());
-  if (!perm.empty()) {
-    // Translate each run's root back to the pre-permutation namespace.
-    const graph::Permutation inv = graph::invert_permutation(perm);
+  if (ids) {
     std::printf("roots (original ids):");
     for (const graph500::RootRun& run : res.runs) {
-      std::printf(" %d", inv[static_cast<std::size_t>(run.root)]);
+      std::printf(" %d", ids->external(run.root));
     }
     std::printf("\n");
   }
@@ -679,7 +687,7 @@ int usage() {
       "            [--device cpu|gpu|mic|KEY=VAL,...] [--host cpu] [--m M --n N]\n"
       "            [--m2 M --n2 N] [--roots K] [--metrics] [--paranoid]\n"
       "            [--batch serial|parallel_roots|msbfs] [--batch-size 1..64]\n"
-      "            [--reorder degree|bfs] [--compress (native-*)]\n"
+      "            [--reorder degree] [--compress (native-*)]\n"
       "            [--trace-out FILE [--trace-format jsonl|csv]]\n"
       "            dist: [--devices N] [--partition block|balanced]\n"
       "                  [--cluster cpu+cpu+gpu] [--link-latency-us L --link-gbps B]\n"

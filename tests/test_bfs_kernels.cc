@@ -14,6 +14,7 @@
 #include "bfs/drivers.h"
 #include "bfs/frontier.h"
 #include "bfs/topdown.h"
+#include "check/report.h"
 #include "core/hybrid_policy.h"
 #include "graph/builder.h"
 #include "graph/compressed_csr.h"
@@ -247,6 +248,174 @@ TEST(BottomUpStep, CandidateListSurvivesTopDownInterleaving) {
   for (vid_t v = 1; v < 255; ++v) {
     EXPECT_EQ(state.parent[static_cast<std::size_t>(v)], (v - 1) / 2);
   }
+}
+
+// --- bottom-up candidates: empty in-rows leave the list --------------
+
+/// What a full 0..n bottom-up scan computes from `state`: the level's
+/// counters, and the level and parent of every vertex it discovers.
+struct FullScan {
+  BottomUpStats stats;
+  std::vector<std::int32_t> level;
+  std::vector<vid_t> parent;
+};
+
+template <graph::TransposeView V>
+FullScan full_scan_step(const V& g, const BfsState& state) {
+  FullScan out;
+  out.stats.frontier_vertices =
+      static_cast<vid_t>(state.frontier_queue.size());
+  out.level = state.level;
+  out.parent = state.parent;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (state.visited.test(static_cast<std::size_t>(v))) continue;
+    ++out.stats.unvisited_vertices;
+    eid_t walked = 0;
+    vid_t from = kNoVertex;
+    g.for_each_in_neighbor(v, [&](vid_t u) {
+      ++walked;
+      if (!state.frontier_bitmap.test(static_cast<std::size_t>(u))) {
+        return true;
+      }
+      from = u;
+      return false;
+    });
+    if (from == kNoVertex) {
+      out.stats.edges_scanned_miss += walked;
+      continue;
+    }
+    out.stats.edges_scanned_hit += walked;
+    ++out.stats.next_vertices;
+    out.level[static_cast<std::size_t>(v)] = state.current_level + 1;
+    out.parent[static_cast<std::size_t>(v)] = from;
+  }
+  return out;
+}
+
+void expect_same_counters(const BottomUpStats& want, const BottomUpStats& got,
+                          const char* what) {
+  EXPECT_EQ(got.frontier_vertices, want.frontier_vertices) << what;
+  EXPECT_EQ(got.unvisited_vertices, want.unvisited_vertices) << what;
+  EXPECT_EQ(got.edges_scanned_hit, want.edges_scanned_hit) << what;
+  EXPECT_EQ(got.edges_scanned_miss, want.edges_scanned_miss) << what;
+  EXPECT_EQ(got.next_vertices, want.next_vertices) << what;
+}
+
+/// Traverses `g` from `root`, bottom-up at the levels `bottom_up(state)`
+/// picks and top-down otherwise. Before each bottom-up step, the probe
+/// and then the step must match a full 0..n scan: counters, levels and
+/// parents. After it, the candidate list holds no empty in-row.
+/// Returns the number of bottom-up levels.
+template <graph::TransposeView V, typename Pick>
+int expect_bottom_up_matches_full_scan(const V& g, vid_t root,
+                                       Pick&& bottom_up) {
+  BfsState state(g.num_vertices(), root);
+  int bottom_up_levels = 0;
+  while (!state.frontier_empty()) {
+    SCOPED_TRACE(testing::Message() << "level " << state.current_level);
+    if (!bottom_up(static_cast<const BfsState&>(state))) {
+      top_down_step(g, state);
+      continue;
+    }
+    const FullScan want = full_scan_step(g, state);
+    expect_same_counters(want.stats, bottom_up_probe(g, state), "probe");
+    expect_same_counters(want.stats, bottom_up_step(g, state), "step");
+    EXPECT_EQ(state.level, want.level);
+    EXPECT_EQ(state.parent, want.parent);
+    for (const vid_t v : state.unvisited) {
+      EXPECT_TRUE(graph::has_in_edge(g, v)) << "candidate " << v;
+    }
+    ++bottom_up_levels;
+  }
+  return bottom_up_levels;
+}
+
+/// The same check under three direction schedules — the M/N hybrid
+/// (which may never pick bottom-up), alternating levels (top-down
+/// leaves stragglers in the list), and bottom-up throughout — at 1 and
+/// 4 threads.
+template <graph::HybridView V>
+void expect_candidate_rule(const V& g, vid_t root) {
+  const ThreadCountGuard guard;
+  const core::HybridPolicy policy{};
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    (void)expect_bottom_up_matches_full_scan(g, root, [&](const BfsState& s) {
+      return policy.decide(s.frontier_out_edges(g),
+                           static_cast<vid_t>(s.frontier_queue.size()),
+                           g.num_edges(),
+                           g.num_vertices()) == Direction::kBottomUp;
+    });
+    EXPECT_GT(expect_bottom_up_matches_full_scan(
+                  g, root,
+                  [](const BfsState& s) { return s.current_level % 2 == 1; }),
+              1);
+    EXPECT_GT(expect_bottom_up_matches_full_scan(
+                  g, root, [](const BfsState&) { return true; }),
+              1);
+  }
+}
+
+TEST(BottomUpCandidates, SymmetricRmatMatchesFullScan) {
+  const CsrGraph g = rmat(12);
+  const graph::CsrGraphView view(g);
+  vid_t isolated = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    isolated += g.out_degree(v) == 0;
+  }
+  ASSERT_GT(isolated, 0);
+  expect_candidate_rule(view, graph::sample_roots(g, 1, 500)[0]);
+}
+
+TEST(BottomUpCandidates, GridWithWallsMatchesFullScan) {
+  const graph::GridWorld grid(graph::GridSpec{
+      .width = 48, .height = 40, .wall_density = 0.3, .wall_seed = 23});
+  expect_candidate_rule(grid, graph::sample_view_roots(grid, 1, 5)[0]);
+}
+
+// Directed R-MAT has vertices with out-edges but no in-edges: they can
+// be roots, but bottom-up can never discover them.
+TEST(BottomUpCandidates, DirectedRmatWithSourcesOnlyMatchesFullScan) {
+  graph::RmatParams p;
+  p.scale = 12;
+  p.edgefactor = 8;
+  p.seed = 77;
+  const CsrGraph g = graph::build_directed_csr(graph::generate_rmat(p));
+  vid_t sources_only = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    sources_only += g.out_degree(v) > 0 && g.in_degree(v) == 0;
+  }
+  ASSERT_GT(sources_only, 0);
+  expect_candidate_rule(graph::CsrGraphView(g),
+                        graph::sample_roots(g, 1, 500)[0]);
+}
+
+// The state check's superset rule skips vertices with empty in-rows,
+// but dropping an unvisited vertex that has an in-edge is still caught.
+TEST(BottomUpCandidates, StateCheckCatchesADroppedVertexWithInEdges) {
+  const CsrGraph g = rmat(10);
+  BfsState state(g, graph::sample_roots(g, 1, 500)[0]);
+  bottom_up_step(g, state);
+  check::CheckReport clean;
+  state.check_invariants(g, clean);
+  EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+  const auto victim = std::find_if(
+      state.unvisited.begin(), state.unvisited.end(), [&](vid_t v) {
+        return !state.visited.test(static_cast<std::size_t>(v));
+      });
+  ASSERT_NE(victim, state.unvisited.end());
+  const vid_t dropped = *victim;
+  ASSERT_GT(g.in_degree(dropped), 0);
+  state.unvisited.erase(victim);
+  check::CheckReport report;
+  state.check_invariants(g, report);
+  EXPECT_FALSE(report.ok());
+  const std::string message = report.to_string();
+  EXPECT_NE(message.find("unvisited vertex " + std::to_string(dropped)),
+            std::string::npos)
+      << message;
 }
 
 // --- bookkeeping that must not depend on the team size --------------

@@ -16,6 +16,7 @@
 #include "bfs/validate.h"
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
+#include "graph/reorder.h"
 #include "graph/rmat.h"
 #include "graph500/native_engine.h"
 #include "graph500/reference_bfs.h"
@@ -130,11 +131,15 @@ TEST(ServeEngine, DuplicateSourcesShareOneTraversal) {
 // A tick's trees run side by side on the worker and helper threads
 // started for the tick, each tree on one thread alone: every source
 // gets its own tree, and each tree's parents equal a traversal that had
-// the whole OpenMP team.
+// the whole OpenMP team — on the engine's degree-relabelled graph,
+// mapped out to the caller's ids.
 TEST(ServeEngine, TreesOfOneTickRunSideBySide) {
   graph::EdgeList edges = rmat_edges(9);
   const graph::CsrGraph g = oracle_graph(edges);
   const std::vector<graph::vid_t> roots = graph::sample_roots(g, 6, 41);
+  graph::EdgeList relabelled = edges;
+  const graph::Relabelling ids = graph::relabel_by_degree(relabelled);
+  const graph::CsrGraph resident = graph::build_csr(std::move(relabelled));
 
   ServeOptions opts;
   opts.workers = 1;  // one tick serves them all
@@ -163,10 +168,15 @@ TEST(ServeEngine, TreesOfOneTickRunSideBySide) {
       EXPECT_NE(r.traversal, results[i - 2].traversal);
     }
     const bfs::BfsResult solo =
-        graph500::run_native(g, r.source, "native-hybrid", opts.policy,
-                             nullptr, nullptr)
+        graph500::run_native(resident, ids.internal(r.source),
+                             "native-hybrid", opts.policy, nullptr, nullptr)
             .result;
-    EXPECT_EQ(r.traversal->parent, solo.parent) << "source " << r.source;
+    std::vector<graph::vid_t> solo_parent(solo.parent.size());
+    for (graph::vid_t w = 0; w < resident.num_vertices(); ++w) {
+      solo_parent[static_cast<std::size_t>(ids.external(w))] =
+          ids.external(solo.parent[static_cast<std::size_t>(w)]);
+    }
+    EXPECT_EQ(r.traversal->parent, solo_parent) << "source " << r.source;
   }
   EXPECT_EQ(engine.stats().traversals,
             static_cast<std::int64_t>(roots.size()));
@@ -546,6 +556,95 @@ TEST(ServeEngine, VertexGrowthServesTheGrownGraphEndToEnd) {
   from_new.kind = QueryKind::kBfs;
   from_new.source = 5;
   expect_matches_reference(grown, engine.submit(from_new).get());
+}
+
+// Vertex-set growth past the relabelled range: the new ids map to
+// themselves, and queries on them, and trees over them, are exact.
+TEST(ServeEngine, GrownVerticesPastTheRelabelledRangeServeExactly) {
+  graph::EdgeList edges = rmat_edges(9, 17);
+  const graph::CsrGraph g0 = oracle_graph(edges);
+  const graph::vid_t n0 = g0.num_vertices();
+  const graph::vid_t hub = graph::top_out_degree_vertices(g0, 1).front();
+  graph::vid_t isolated = 0;
+  while (g0.out_degree(isolated) > 0) ++isolated;
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.num_landmarks = 4;
+  QueryEngine engine(edges, opts);
+
+  const std::vector<graph::Edge> grown = {
+      {hub, n0 + 1}, {n0 + 1, n0 + 3}, {n0 + 3, isolated}, {n0 + 4, n0 + 5}};
+  for (const graph::Edge& e : grown) {
+    engine.insert_edge(e.src, e.dst);
+    edges.edges.push_back(e);
+  }
+  engine.publish_inserts();
+  edges.num_vertices = n0 + 6;
+  const graph::CsrGraph g1 = oracle_graph(edges);
+  ASSERT_EQ(engine.num_vertices(), g1.num_vertices());
+
+  std::vector<std::future<QueryResult>> futures;
+  const std::vector<graph::vid_t> touched = {hub,    isolated, n0,
+                                             n0 + 1, n0 + 3,   n0 + 5};
+  for (const graph::vid_t s : touched) {
+    for (const graph::vid_t t : touched) {
+      futures.push_back(engine.submit({QueryKind::kDistance, s, t, ""}));
+      futures.push_back(engine.submit({QueryKind::kReachability, t, s, ""}));
+    }
+    futures.push_back(engine.submit({QueryKind::kBfs, s, 0, ""}));
+  }
+  for (std::future<QueryResult>& f : futures) {
+    const QueryResult r = f.get();
+    EXPECT_EQ(r.epoch, 1u);
+    expect_matches_reference(g1, r);
+  }
+}
+
+// Writes map their endpoints in; a negative id passes through the
+// mapping unchanged and is still refused.
+TEST(ServeEngine, NegativeWriteEndpointsStillThrow) {
+  ServeOptions opts;
+  opts.workers = 1;
+  QueryEngine engine(rmat_edges(8), opts);
+  EXPECT_THROW(engine.insert_edge(-1, 2), std::invalid_argument);
+  EXPECT_THROW(engine.insert_edge(3, -4), std::invalid_argument);
+  EXPECT_THROW(engine.remove_edge(-2, 1), std::invalid_argument);
+  EXPECT_THROW(engine.remove_edge(0, -1), std::invalid_argument);
+  EXPECT_EQ(engine.stats().edges_inserted, 0);
+  EXPECT_EQ(engine.stats().edges_removed, 0);
+}
+
+// Four hubs of equal degree; the two with duplicated edges come first in
+// the engine's degree order. Landmarks still break ties by the caller's
+// ids, so the cache covers exactly top_out_degree_vertices on the
+// original graph.
+TEST(ServeEngine, LandmarksBreakDegreeTiesByExternalId) {
+  graph::EdgeList edges;
+  edges.num_vertices = 24;  // 23 and the unused small ids stay isolated
+  const std::vector<graph::vid_t> hubs = {1, 4, 6, 9};
+  for (std::size_t i = 0; i < hubs.size(); ++i) {
+    for (graph::vid_t leaf = 10 + 3 * static_cast<graph::vid_t>(i);
+         leaf < 13 + 3 * static_cast<graph::vid_t>(i); ++leaf) {
+      edges.add(hubs[i], leaf);
+      if (hubs[i] == 6 || hubs[i] == 9) edges.add(leaf, hubs[i]);
+    }
+  }
+  const graph::CsrGraph g = oracle_graph(edges);
+  const std::vector<graph::vid_t> want = graph::top_out_degree_vertices(g, 2);
+  ASSERT_EQ(want, (std::vector<graph::vid_t>{1, 4}));
+
+  ServeOptions opts;
+  opts.workers = 1;
+  opts.num_landmarks = 2;
+  QueryEngine engine(edges, opts);
+  std::vector<graph::vid_t> covered;
+  for (graph::vid_t s = 0; s < g.num_vertices(); ++s) {
+    const QueryResult r =
+        engine.submit({QueryKind::kDistance, s, 23, ""}).get();
+    expect_matches_reference(g, r);
+    if (r.cache_hit) covered.push_back(s);
+  }
+  EXPECT_EQ(covered, want);
 }
 
 TEST(ServeEngine, RemovalsServeExactlyAndRebuildTheCache) {
