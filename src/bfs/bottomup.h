@@ -2,11 +2,12 @@
 //
 // Templated over graph::TransposeView (graph/view.h): bottom-up is the
 // one direction that needs predecessor enumeration, so only views that
-// expose `for_each_in_neighbor` — a materialized transpose, or a
-// symmetric view where in == out — can run it. The early-exit protocol
-// (callback returns false to stop the scan) is the paper's "adopt the
-// first frontier predecessor and break" (Algorithm 2 line 12). The
-// historical CsrGraph overloads forward through graph::CsrGraphView.
+// expose `for_each_in_neighbor` — a stored transpose, or a symmetric
+// graph's out-rows, since there in == out — can run it. The early-exit
+// protocol (callback returns false to stop the scan) is the paper's
+// "adopt the first frontier predecessor and break" (Algorithm 2 line
+// 12). The historical CsrGraph overloads forward through
+// graph::CsrGraphView.
 //
 // Candidates: the step scans a compacted list of unvisited vertices,
 // not 0..n. A candidate that misses after walking zero edges has an

@@ -45,9 +45,9 @@ struct BfsResult {
 /// which is exactly the granularity at which the paper's combination
 /// techniques switch direction (and switch devices).
 ///
-/// The state is sized purely by |V|, so the same object serves CSR
-/// graphs and implicit GraphViews (graph/view.h); the CsrGraph
-/// overloads below are conveniences that extract `num_vertices()`.
+/// The state is sized purely by |V|, so the same object serves every
+/// GraphView (graph/view.h); the CsrGraph overloads below are
+/// conveniences that extract `num_vertices()`.
 struct BfsState {
   /// Sizes the maps for `num_vertices` vertices and arms a traversal
   /// from `root` — the representation-independent core.
@@ -62,8 +62,8 @@ struct BfsState {
   /// behind (vector and bitmap capacities, the compacted `unvisited`
   /// list's storage). A reset state is indistinguishable from a freshly
   /// constructed one — this is what lets `StatePool` hand the same
-  /// object to run after run. Also valid on a moved-from state
-  /// (take_result empties parent/level; assign refills them).
+  /// object to run after run. Also valid on a moved-from state:
+  /// take_result empties parent/level, and assign allocates them again.
   void reset(vid_t num_vertices, vid_t root);
 
   void reset(const CsrGraph& g, vid_t root) { reset(g.num_vertices(), root); }

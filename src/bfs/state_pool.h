@@ -1,18 +1,21 @@
 // Reusable BfsState pool for multi-root benchmark runs.
 //
 // graph500::run_benchmark traverses dozens of roots over one graph;
-// constructing a BfsState per root reallocates the parent/level maps,
-// three bitmaps, and the bottom-up candidate list every time. The pool
-// keeps retired states on a freelist and re-arms them with
-// BfsState::reset, so steady-state runs allocate nothing per root and
-// the peak live-state count equals the number of concurrent workers.
+// constructing a BfsState per root allocates its three bitmaps, its
+// frontier queues, its bottom-up candidate lists and its top-down and
+// bottom-up scratch every time. The pool keeps retired states on a
+// freelist and re-arms them with BfsState::reset, so those buffers are
+// reused from root to root and the peak live-state count equals the
+// number of concurrent workers. The parent and level maps are not
+// reused: take_result moves them out with each result, so reset
+// allocates and fills them again (2 × 4 bytes × |V| per traversal).
 //
 // Ownership rules (see DESIGN.md §9):
 //   * acquire() transfers exclusive ownership to the returned Lease;
 //     the pool never touches a checked-out state.
 //   * The Lease returns the state on destruction — including a state
 //     whose parent/level vectors were moved out by take_result; reset
-//     re-fills them on the next checkout.
+//     allocates them again on the next checkout.
 //   * acquire()/release are mutex-guarded and safe from concurrent
 //     OpenMP workers; the state itself is single-owner, never shared.
 #pragma once
@@ -65,9 +68,10 @@ class StatePool {
 
   /// Checks out a state armed for a traversal of an
   /// `num_vertices`-vertex graph from `root`: either a recycled one
-  /// (reset, allocations reused) or — when the freelist is empty — a
-  /// freshly constructed one. Representation-independent, so the same
-  /// pool serves CSR graphs and implicit GraphViews.
+  /// (reset: its bitmaps, queues, candidate lists and scratch are
+  /// reused; parent and level are allocated again if a result took
+  /// them) or — when the freelist is empty — a freshly constructed one.
+  /// Sized by |V| alone, so the same pool serves every GraphView.
   [[nodiscard]] Lease acquire(graph::vid_t num_vertices, graph::vid_t root);
 
   [[nodiscard]] Lease acquire(const graph::CsrGraph& g, graph::vid_t root) {

@@ -1,11 +1,11 @@
 // Parallel top-down BFS level step (paper Algorithm 1, lines 6-13).
 //
 // The kernel is a template over any graph::GraphView (graph/view.h), so
-// the identical loop runs on CSR storage (through graph::CsrGraphView)
-// and on implicit successor functions. The historical CsrGraph overload
-// below forwards through the adapter, which keeps every existing call
-// site source-compatible and makes CSR bit-equality structural rather
-// than promised.
+// the identical loop runs on flat CSR storage (through
+// graph::CsrGraphView), compressed rows and delta-CSR epochs. The
+// historical CsrGraph overload below forwards through the adapter,
+// which keeps every existing call site source-compatible and makes CSR
+// bit-equality structural rather than promised.
 //
 // Work is dealt out by edges, not by vertices. The M/N rule runs
 // top-down exactly where the frontier is small — the root's

@@ -13,11 +13,12 @@
 //      reached endpoint would contradict BFS completeness (for the
 //      undirected view).
 //
-// The validator is a template over graph::GraphView, so implicit-graph
-// runs get exactly the same scrutiny as CSR runs. Check 3 uses the
-// EdgeQueryView capability (O(log degree) membership) when the view
-// offers it and otherwise falls back to a linear out-neighbour scan —
-// fine for the bounded-degree implicit views.
+// The validator is a template over graph::GraphView, so compressed and
+// delta-CSR runs get exactly the same scrutiny as flat CSR runs. Check
+// 3 uses the EdgeQueryView capability (O(log degree) membership) when
+// the view offers it and otherwise falls back to a linear scan of the
+// parent's out-row — the path CompressedCsrView takes, since it has no
+// has_edge (a probe would decode the whole row anyway).
 #pragma once
 
 #include <string>

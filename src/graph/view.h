@@ -9,10 +9,11 @@
 // frontier hit, Algorithm 2 line 12). Everything else (CSR arrays,
 // sortedness, binary-searchable rows) is representation detail. This
 // header names that contract as C++20 concepts so the same templated
-// kernels run over (a) materialized CSR storage via the zero-overhead
-// `CsrGraphView` adapter, and (b) *implicit* graphs whose neighbours
-// are generated on the fly (grid worlds, puzzle state spaces —
-// graph/grid_view.h, graph/npuzzle_view.h).
+// kernels run over the three stored representations the system
+// measures: flat CSR through the zero-overhead `CsrGraphView` adapter
+// below, varint-compressed rows (`CompressedCsrView`,
+// graph/compressed_csr.h) and serve's delta-CSR epochs (`DeltaCsr`,
+// graph/delta_csr.h).
 //
 // Dispatch is entirely compile-time: kernels are instantiated once per
 // view type, so the hot loops carry no virtual calls and no function
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "graph/csr.h"
-#include "graph/edge_list.h"
 #include "graph/prng.h"
 #include "graph/types.h"
 
@@ -56,8 +56,9 @@ struct ScanSink {
 /// numerator) must know whether directed edge counts should be halved.
 ///
 /// `for_each_out_neighbor(v, f)` calls `f(w)` for every out-neighbour w
-/// of v, in a deterministic order fixed by the view (CSR: ascending;
-/// implicit views: the documented successor order).
+/// of v, in a deterministic order fixed by the view (ascending for
+/// CsrGraphView, CompressedCsrView and DeltaCsr, which store sorted
+/// rows).
 template <typename V>
 concept GraphView = requires(const V& g, vid_t v, detail::NeighborSink out) {
   { g.num_vertices() } -> std::convertible_to<vid_t>;
@@ -70,10 +71,9 @@ concept GraphView = requires(const V& g, vid_t v, detail::NeighborSink out) {
 /// bottom-up kernel. `for_each_in_neighbor(v, f)` calls `f(u)` for each
 /// in-neighbour u of v in the view's deterministic order and stops as
 /// soon as `f` returns false — that early exit is the hit-prefix walk
-/// that makes bottom-up cheap on late levels. Symmetric implicit views
-/// satisfy this with their out-enumeration (every move is reversible);
-/// directed representations need a materialized transpose, which is why
-/// CSR keeps separate in-arrays for directed graphs.
+/// that makes bottom-up cheap on late levels. A symmetric graph's
+/// in-rows are its out-rows; a directed one needs a stored transpose,
+/// which is why CSR keeps separate in-arrays for directed graphs.
 template <typename V>
 concept TransposeView =
     GraphView<V> && requires(const V& g, vid_t v, detail::ScanSink scan) {
@@ -100,8 +100,9 @@ concept EdgeCountedView = GraphView<V> && requires(const V& g) {
 };
 
 /// Capability: O(log degree) membership test, used by the Graph 500
-/// validator's tree-edge check. Views without it fall back to a linear
-/// neighbour scan (fine for bounded-degree implicit graphs).
+/// validator's tree-edge check. `CsrGraphView` and `DeltaCsr` model
+/// it; `CompressedCsrView` does not (a probe would decode the whole
+/// row), so the validator falls back to a linear scan of the row.
 template <typename V>
 concept EdgeQueryView = GraphView<V> && requires(const V& g, vid_t u, vid_t v) {
   { g.has_edge(u, v) } -> std::convertible_to<bool>;
@@ -182,26 +183,11 @@ static_assert(RowView<CsrGraphView>);
 // that forward through the adapter.
 static_assert(!GraphView<CsrGraph>);
 
-/// Materializes a view into an explicit directed edge list — the bridge
-/// the cross-representation equality tests use: build a CsrGraph from
-/// `materialize(view)` and BFS distances must match the implicit run
-/// exactly.
-template <GraphView V>
-[[nodiscard]] EdgeList materialize(const V& g) {
-  EdgeList el;
-  el.num_vertices = g.num_vertices();
-  for (vid_t v = 0; v < el.num_vertices; ++v) {
-    g.for_each_out_neighbor(v, [&el, v](vid_t w) { el.add(v, w); });
-  }
-  return el;
-}
-
 /// Graph 500 root sampling over any view: uniform draws, degree-0
 /// rejections. graph::sample_roots forwards here through CsrGraphView,
-/// so the same seed picks the same roots on a view and on its
-/// materialized CsrGraph. The rejection loop is bounded so a
-/// pathological (all-isolated) graph still terminates with a clear
-/// error.
+/// so the same seed picks the same roots on any view of a graph and on
+/// its CsrGraph. The rejection loop is bounded so a pathological
+/// (all-isolated) graph still terminates with a clear error.
 template <GraphView V>
 [[nodiscard]] std::vector<vid_t> sample_view_roots(const V& g, int count,
                                                    std::uint64_t seed) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <variant>
 
 #include "core/adaptive_bfs.h"
 #include "core/cross_arch_bfs.h"
@@ -33,21 +32,6 @@ sim::Device cpu_preset() {
   message += "; valid engines:";
   for (const EngineRegistry::Entry& e : entries) message += " " + e.name;
   throw UnknownEngineError(message);
-}
-
-/// A native engine over implicit graphs: the wall-clock loop over
-/// whichever view the scenario holds.
-template <typename Policy>
-ScenarioBfsEngine scenario_engine(const char* name, Policy policy,
-                                  const EngineConfig& cfg) {
-  return [name, policy, sink = cfg.sink, pool = cfg.pool](
-             const graph::ScenarioGraph& sg, graph::vid_t root) {
-    return std::visit(
-        [&](const auto& g) {
-          return run_native(g, root, name, policy, sink, pool);
-        },
-        sg);
-  };
 }
 
 }  // namespace
@@ -88,39 +72,7 @@ BatchBfsEngine EngineRegistry::make_batch_engine(
   const Entry* entry = find(name);
   if (entry == nullptr) throw_unknown(entries_, name);
   if (entry->batch_factory) return entry->batch_factory(config);
-  return [engine = entry->factory(config)](
-             const graph::CsrGraph& g,
-             const std::vector<graph::vid_t>& batch) {
-    std::vector<TimedBfs> timed;
-    timed.reserve(batch.size());
-    for (const graph::vid_t root : batch) timed.push_back(engine(g, root));
-    return timed;
-  };
-}
-
-ScenarioBfsEngine EngineRegistry::make_scenario_engine(
-    const std::string& name, const EngineConfig& config) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) throw_unknown(entries_, name);
-  if (!entry->scenario_factory) {
-    std::string message =
-        "engine '" + name +
-        "' does not support --scenario (its kernels are CSR- or "
-        "simulator-specific); scenario-capable engines:";
-    for (const Entry& e : entries_) {
-      if (e.scenario_factory) message += " " + e.name;
-    }
-    throw UnknownEngineError(message);
-  }
-  return entry->scenario_factory(config);
-}
-
-std::vector<std::string> EngineRegistry::scenario_names() const {
-  std::vector<std::string> out;
-  for (const Entry& e : entries_) {
-    if (e.scenario_factory) out.push_back(e.name);
-  }
-  return out;
+  return one_root_at_a_time(entry->factory(config));
 }
 
 std::vector<std::string> EngineRegistry::names() const {
@@ -200,41 +152,23 @@ EngineRegistry EngineRegistry::with_builtin_engines() {
            return TimedBfs{std::move(run.result), run.seconds};
          };
        }});
-  // The native engines' kernels are templated over GraphView, so they
-  // also register scenario factories — the same level loop runs over
-  // implicit grid/puzzle views (--scenario).
   r.register_engine(
       {"native-td", "pure top-down on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_top_down_engine(cfg.sink, cfg.pool,
                                             cfg.compressed);
-       },
-       {},
-       [](const EngineConfig& cfg) {
-         return scenario_engine(
-             "native-td", bfs::ForcedPolicy{bfs::Direction::kTopDown}, cfg);
        }});
   r.register_engine(
       {"native-bu", "pure bottom-up on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_bottom_up_engine(cfg.sink, cfg.pool,
                                              cfg.compressed);
-       },
-       {},
-       [](const EngineConfig& cfg) {
-         return scenario_engine(
-             "native-bu", bfs::ForcedPolicy{bfs::Direction::kBottomUp}, cfg);
        }});
   r.register_engine(
       {"native-hybrid", "M/N combination on this host, wall-clock timed",
        [](const EngineConfig& cfg) {
          return make_native_hybrid_engine(cfg.policy, cfg.sink, cfg.pool,
                                           cfg.compressed);
-       },
-       {},
-       [](const EngineConfig& cfg) {
-         cfg.policy.validate();
-         return scenario_engine("native-hybrid", cfg.policy, cfg);
        }});
   // The per-root factory serves callers that treat msbfs like any other
   // engine (batches of one); --batch=msbfs goes through the

@@ -19,7 +19,6 @@
 #include "core/hybrid_policy.h"
 #include "graph/partition.h"
 #include "graph500/runner.h"
-#include "graph500/scenario_engine.h"
 #include "obs/sink.h"
 #include "sim/cluster.h"
 #include "sim/device.h"
@@ -55,10 +54,11 @@ struct EngineConfig {
   /// per-level tracing across all engine families.
   obs::TraceSink* sink = nullptr;
   /// Optional, non-owning; must outlive the constructed engine. The
-  /// native engines draw reusable BfsStates from it — under
-  /// batch_mode=parallel_roots this is what keeps per-root allocation
-  /// off the hot path. Simulated engines ignore it (their state is
-  /// modelled, not real).
+  /// native engines draw reusable BfsStates from it, so each worker
+  /// reuses a state's bitmaps, queues, candidate lists and scratch from
+  /// root to root; the parent and level maps leave with each result
+  /// and are allocated again. Simulated engines ignore it (their state
+  /// is modelled, not real).
   bfs::StatePool* pool = nullptr;
   /// Non-null routes the native engines through the compressed
   /// adjacency view (--compress). Non-owning; must outlive the engine
@@ -85,14 +85,8 @@ class EngineRegistry {
     std::function<BfsEngine(const EngineConfig&)> factory;
     /// Optional batched construction (engines that amortise one kernel
     /// pass over many roots, e.g. msbfs). Entries without one still
-    /// work with make_batch_engine via a one-root-at-a-time wrapper.
+    /// work with make_batch_engine via one_root_at_a_time.
     std::function<BatchBfsEngine(const EngineConfig&)> batch_factory{};
-    /// Optional implicit-graph (--scenario) construction. Engines whose
-    /// kernels are templated over graph::GraphView register one;
-    /// CSR-specialised kernels (msbfs lane masks) and the modelled
-    /// simulator engines (which cost CSR memory traffic) leave it
-    /// empty, and make_scenario_engine rejects them by name.
-    std::function<ScenarioBfsEngine(const EngineConfig&)> scenario_factory{};
   };
 
   /// Registers an engine; throws std::invalid_argument on a duplicate
@@ -109,20 +103,10 @@ class EngineRegistry {
 
   /// Constructs the named engine in batched form: the entry's
   /// batch_factory when it has one, otherwise the per-root engine
-  /// wrapped to serve each batch one root at a time. Throws
-  /// UnknownEngineError for unknown names.
+  /// wrapped by one_root_at_a_time. Throws UnknownEngineError for
+  /// unknown names.
   [[nodiscard]] BatchBfsEngine make_batch_engine(
       const std::string& name, const EngineConfig& config) const;
-
-  /// Constructs the named engine for implicit scenario graphs. Throws
-  /// UnknownEngineError both for unknown names and for engines without
-  /// scenario support — the latter message lists the scenario-capable
-  /// engines so `--scenario --engine=msbfs` fails with a usable hint.
-  [[nodiscard]] ScenarioBfsEngine make_scenario_engine(
-      const std::string& name, const EngineConfig& config) const;
-
-  /// Names of entries with a scenario_factory, registration order.
-  [[nodiscard]] std::vector<std::string> scenario_names() const;
 
   [[nodiscard]] std::vector<std::string> names() const;
   [[nodiscard]] const std::vector<Entry>& entries() const noexcept {

@@ -33,8 +33,9 @@ namespace bfsx::graph500 {
 
 /// One wall-clock traversal of `g` — a CsrGraph or any HybridView —
 /// from `root` under `policy`, traced as `engine`: the body of every
-/// native engine, of the scenario engines and of serve's single-source
-/// ticks. Its seconds are the sum of the level steps' wall times.
+/// native engine (over CSR or compressed rows) and of serve's
+/// single-source ticks. Its seconds are the sum of the level steps'
+/// wall times.
 template <typename G, typename Policy>
 TimedBfs run_native(const G& g, graph::vid_t root, const char* engine,
                     const Policy& policy, obs::TraceSink* sink,

@@ -7,11 +7,9 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 
 #include "check/contract.h"
-#include "graph/view.h"
-#include "graph500/scenario_engine.h"
+#include "graph/graph_stats.h"
 
 namespace bfsx::graph500 {
 namespace {
@@ -22,28 +20,13 @@ double elapsed_seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/// Calls `fn` on the graph as a view: a CSR through CsrGraphView, a
-/// scenario as the implicit view it holds. Root sampling and
-/// validation go through this, so one protocol serves both.
-template <typename Fn>
-decltype(auto) on_view(const graph::CsrGraph& g, Fn&& fn) {
-  return fn(graph::CsrGraphView(g));
-}
-
-template <typename Fn>
-decltype(auto) on_view(const graph::ScenarioGraph& g, Fn&& fn) {
-  return std::visit(std::forward<Fn>(fn), g);
-}
-
-template <typename Graph>
-std::vector<graph::vid_t> resolve_roots(const char* caller, const Graph& g,
+std::vector<graph::vid_t> resolve_roots(const graph::CsrGraph& g,
                                         const RunnerOptions& opts) {
   if (!opts.roots.empty()) {
-    const graph::vid_t n =
-        on_view(g, [](const auto& view) { return view.num_vertices(); });
+    const graph::vid_t n = g.num_vertices();
     for (const graph::vid_t r : opts.roots) {
       if (r < 0 || r >= n) {
-        throw std::invalid_argument(std::string(caller) + ": explicit root " +
+        throw std::invalid_argument("run_benchmark: explicit root " +
                                     std::to_string(r) + " out of range [0, " +
                                     std::to_string(n) + ")");
       }
@@ -51,12 +34,9 @@ std::vector<graph::vid_t> resolve_roots(const char* caller, const Graph& g,
     return opts.roots;
   }
   if (opts.num_roots <= 0) {
-    throw std::invalid_argument(std::string(caller) +
-                                ": num_roots must be > 0");
+    throw std::invalid_argument("run_benchmark: num_roots must be > 0");
   }
-  return on_view(g, [&opts](const auto& view) {
-    return graph::sample_view_roots(view, opts.num_roots, opts.root_seed);
-  });
+  return graph::sample_roots(g, opts.num_roots, opts.root_seed);
 }
 
 /// Per-root record produced by a worker. Everything the deterministic
@@ -68,19 +48,43 @@ struct Slot {
   double validate_seconds = 0.0;  // wall time of this root's validation
 };
 
-/// The kernel-2 protocol over either graph type. `engine(g, batch)`
-/// returns one timed result per root of the batch.
-template <typename Graph, typename Engine>
-BenchmarkResult run_protocol(const char* caller, const Graph& g,
-                             const Engine& engine,
-                             const RunnerOptions& opts) {
-  const std::vector<graph::vid_t> roots = resolve_roots(caller, g, opts);
+}  // namespace
+
+double BenchmarkResult::mean_seconds() const {
+  if (runs.empty()) return 0.0;
+  double sum = 0.0;
+  for (const RootRun& r : runs) sum += r.seconds;
+  return sum / static_cast<double>(runs.size());
+}
+
+BatchMode parse_batch_mode(std::string_view text) {
+  if (text == "serial") return BatchMode::kSerial;
+  if (text == "parallel_roots") return BatchMode::kParallelRoots;
+  if (text == "msbfs") return BatchMode::kMsBfs;
+  throw std::invalid_argument("unknown batch mode '" + std::string(text) +
+                              "' (valid: serial, parallel_roots, msbfs)");
+}
+
+BatchBfsEngine one_root_at_a_time(BfsEngine engine) {
+  return [engine = std::move(engine)](const graph::CsrGraph& g,
+                                      const std::vector<graph::vid_t>& batch) {
+    std::vector<TimedBfs> timed;
+    timed.reserve(batch.size());
+    for (const graph::vid_t root : batch) timed.push_back(engine(g, root));
+    return timed;
+  };
+}
+
+BenchmarkResult run_benchmark(const graph::CsrGraph& g,
+                              const BatchBfsEngine& engine,
+                              const RunnerOptions& opts) {
+  const std::vector<graph::vid_t> roots = resolve_roots(g, opts);
   const std::size_t total = roots.size();
 
   std::size_t chunk = 1;
   if (opts.batch_mode == BatchMode::kMsBfs) {
     if (opts.batch_size < 1 || opts.batch_size > 64) {
-      throw std::invalid_argument(std::string(caller) + ": batch_size " +
+      throw std::invalid_argument("run_benchmark: batch_size " +
                                   std::to_string(opts.batch_size) +
                                   " out of range [1, 64]");
     }
@@ -120,9 +124,7 @@ BenchmarkResult run_protocol(const char* caller, const Graph& g,
       if (opts.validate) {
         const auto v0 = Clock::now();
         const bfs::ValidationReport report =
-            on_view(g, [&](const auto& view) {
-              return bfs::validate_bfs(view, roots[i], t.result);
-            });
+            bfs::validate_bfs(g, roots[i], t.result);
         slot.validate_seconds = elapsed_seconds(v0);
         slot.run.valid = report.ok;
       }
@@ -189,34 +191,10 @@ BenchmarkResult run_protocol(const char* caller, const Graph& g,
     }
   }
   if (teps.empty()) {
-    throw std::runtime_error(std::string(caller) +
-                             ": no valid timed runs to aggregate");
+    throw std::runtime_error("run_benchmark: no valid timed runs to aggregate");
   }
   out.stats = compute_teps_stats(teps);
   return out;
-}
-
-}  // namespace
-
-double BenchmarkResult::mean_seconds() const {
-  if (runs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const RootRun& r : runs) sum += r.seconds;
-  return sum / static_cast<double>(runs.size());
-}
-
-BatchMode parse_batch_mode(std::string_view text) {
-  if (text == "serial") return BatchMode::kSerial;
-  if (text == "parallel_roots") return BatchMode::kParallelRoots;
-  if (text == "msbfs") return BatchMode::kMsBfs;
-  throw std::invalid_argument("unknown batch mode '" + std::string(text) +
-                              "' (valid: serial, parallel_roots, msbfs)");
-}
-
-BenchmarkResult run_benchmark(const graph::CsrGraph& g,
-                              const BatchBfsEngine& engine,
-                              const RunnerOptions& opts) {
-  return run_protocol("run_benchmark", g, engine, opts);
 }
 
 BenchmarkResult run_benchmark(const graph::CsrGraph& g,
@@ -227,40 +205,7 @@ BenchmarkResult run_benchmark(const graph::CsrGraph& g,
         "run_benchmark: batch mode 'msbfs' needs a BatchBfsEngine "
         "(e.g. EngineRegistry::make_batch_engine(\"msbfs\", ...))");
   }
-  const BatchBfsEngine one_at_a_time =
-      [&engine](const graph::CsrGraph& graph,
-                const std::vector<graph::vid_t>& batch) {
-        std::vector<TimedBfs> timed;
-        timed.reserve(batch.size());
-        for (const graph::vid_t root : batch) {
-          timed.push_back(engine(graph, root));
-        }
-        return timed;
-      };
-  return run_benchmark(g, one_at_a_time, opts);
-}
-
-BenchmarkResult run_scenario_benchmark(const graph::ScenarioGraph& g,
-                                       const ScenarioBfsEngine& engine,
-                                       const RunnerOptions& opts) {
-  if (opts.batch_mode == BatchMode::kMsBfs) {
-    throw std::invalid_argument(
-        "run_scenario_benchmark: batch mode 'msbfs' is CSR-only (the "
-        "bit-parallel lane kernel reads CSR rows); use serial or "
-        "parallel_roots");
-  }
-  return run_protocol(
-      "run_scenario_benchmark", g,
-      [&engine](const graph::ScenarioGraph& graph,
-                const std::vector<graph::vid_t>& batch) {
-        std::vector<TimedBfs> timed;
-        timed.reserve(batch.size());
-        for (const graph::vid_t root : batch) {
-          timed.push_back(engine(graph, root));
-        }
-        return timed;
-      },
-      opts);
+  return run_benchmark(g, one_root_at_a_time(engine), opts);
 }
 
 }  // namespace bfsx::graph500

@@ -45,6 +45,11 @@ using BfsEngine =
 using BatchBfsEngine = std::function<std::vector<TimedBfs>(
     const graph::CsrGraph&, const std::vector<graph::vid_t>&)>;
 
+/// Serves each batch by calling `engine` once per root, in batch order:
+/// how run_benchmark and EngineRegistry::make_batch_engine run a
+/// per-root engine through the batch protocol.
+[[nodiscard]] BatchBfsEngine one_root_at_a_time(BfsEngine engine);
+
 /// How run_benchmark dispatches its roots.
 enum class BatchMode {
   kSerial,         ///< one root at a time (reference protocol)

@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "bfs/drivers.h"
@@ -34,10 +33,8 @@
 #include "graph/io.h"
 #include "graph/partition.h"
 #include "graph/reorder.h"
-#include "graph/scenario.h"
 #include "graph500/engine_registry.h"
 #include "graph500/runner.h"
-#include "graph500/scenario_engine.h"
 #include "obs/percentiles.h"
 #include "obs/registry.h"
 #include "obs/writers.h"
@@ -188,108 +185,7 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
-/// bfsx bfs --scenario: the Graph 500 protocol over an implicit graph
-/// (grid world or n-puzzle state space) instead of a CSR one. The
-/// kernels are the same templated level steps; only representation
-/// changes, so the printed statistics are directly comparable with a
-/// CSR run of the materialized graph.
-int run_scenario_bfs(const Args& args) {
-  // Flags that only make sense for materialized CSR graphs get a
-  // targeted error before the generic unknown-option check.
-  for (const char* key : {"graph", "scale", "edgefactor", "seed", "reorder",
-                          "native", "device", "batch-size"}) {
-    if (args.has(key)) {
-      throw std::invalid_argument(
-          std::string("--") + key +
-          " cannot be combined with --scenario (implicit graphs are "
-          "generated from the scenario spec, not loaded or relabelled)");
-    }
-  }
-  args.check_known({"scenario", "root-state", "engine", "m", "n", "roots",
-                    "batch", "metrics", "trace-out", "trace-format"});
-
-  const graph500::BatchMode batch_mode =
-      graph500::parse_batch_mode(args.get_or("batch", "serial"));
-  if (batch_mode == graph500::BatchMode::kParallelRoots &&
-      args.has("trace-out")) {
-    throw std::invalid_argument(
-        "--batch=parallel_roots cannot be combined with --trace-out: "
-        "concurrent roots would interleave their trace events");
-  }
-
-  const graph::Scenario scenario = graph::parse_scenario(*args.get("scenario"));
-  const auto [nv, ne] = std::visit(
-      [](const auto& view) {
-        return std::pair{view.num_vertices(), view.num_edges()};
-      },
-      scenario.graph);
-  std::printf("scenario: %s — %d states, %lld directed moves\n",
-              scenario.name.c_str(), nv, static_cast<long long>(ne));
-
-  const std::unique_ptr<obs::TraceSink> sink = sink_from_args(args);
-  bfs::StatePool pool;
-
-  graph500::EngineConfig cfg;
-  cfg.pool = &pool;
-  cfg.policy = {args.get_double("m", 14.0), args.get_double("n", 24.0)};
-  cfg.sink = sink.get();
-
-  const std::string engine_name = args.get_or("engine", "native-hybrid");
-  const graph500::EngineRegistry registry =
-      graph500::EngineRegistry::with_builtin_engines();
-  const graph500::ScenarioBfsEngine engine =
-      registry.make_scenario_engine(engine_name, cfg);
-  if (const auto* entry = registry.find(engine_name)) {
-    std::printf("engine: %s — %s\n", entry->name.c_str(),
-                entry->description.c_str());
-  }
-  if (batch_mode != graph500::BatchMode::kSerial) {
-    std::printf("batch: %s\n", graph500::to_string(batch_mode));
-  }
-
-  obs::Registry metrics;
-  graph500::RunnerOptions opts;
-  opts.num_roots = args.get_int("roots", 8);
-  opts.batch_mode = batch_mode;
-  if (const auto root_state = args.get("root-state")) {
-    // Root named in scenario coordinates ("x,y" / tile list), translated
-    // through the view's id mapping — the scenario analogue of the
-    // --reorder root translation on CSR graphs.
-    opts.roots = {graph::resolve_root_state(scenario.graph, *root_state)};
-  }
-  if (args.get_bool("metrics", false)) opts.metrics = &metrics;
-
-  const graph500::BenchmarkResult res =
-      graph500::run_scenario_benchmark(scenario.graph, engine, opts);
-  std::printf("%s", graph500::format_teps_stats(res.stats).c_str());
-  std::printf("validation failures: %d / %zu\n", res.validation_failures,
-              res.runs.size());
-  std::printf("roots (scenario coordinates):");
-  for (const graph500::RootRun& run : res.runs) {
-    std::printf(" [%s]",
-                graph::format_state(scenario.graph, run.root).c_str());
-  }
-  std::printf("\n");
-  if (opts.metrics != nullptr) {
-    std::printf("metrics:\n%s", metrics.format().c_str());
-  }
-  if (const auto out = args.get("trace-out")) {
-    std::printf("trace (%s, schema %s) written to %s\n",
-                args.get_or("trace-format", "jsonl").c_str(),
-                obs::kTraceSchema, out->c_str());
-  }
-  return res.validation_failures == 0 ? 0 : 1;
-}
-
 int cmd_bfs(const Args& args) {
-  if (args.has("scenario") || args.has("root-state")) {
-    if (!args.has("scenario")) {
-      throw std::invalid_argument(
-          "--root-state requires --scenario (CSR roots are numeric ids; "
-          "use --roots)");
-    }
-    return run_scenario_bfs(args);
-  }
   args.check_known(with_graph_keys(
       {"engine", "device", "host", "m", "n", "m2", "n2", "roots", "native",
        "devices", "partition", "cluster", "link-latency-us", "link-gbps",
@@ -363,9 +259,9 @@ int cmd_bfs(const Args& args) {
 
   const std::unique_ptr<obs::TraceSink> sink = sink_from_args(args);
 
-  // Pooled states: under --batch=parallel_roots each worker recycles a
-  // BfsState instead of reallocating per root (native engines only; the
-  // simulated engines model their state).
+  // Pooled states: each worker recycles a BfsState's bitmaps, queues and
+  // scratch from root to root (native engines only; the simulated
+  // engines model their state).
   bfs::StatePool pool;
 
   graph500::EngineConfig cfg;
@@ -691,9 +587,6 @@ int usage() {
       "            [--trace-out FILE [--trace-format jsonl|csv]]\n"
       "            dist: [--devices N] [--partition block|balanced]\n"
       "                  [--cluster cpu+cpu+gpu] [--link-latency-us L --link-gbps B]\n"
-      "            implicit: --scenario grid:WxH[:conn=4|8][:wall-density=D]\n"
-      "                  [:wall-seed=S] | npuzzle:WxH  [--root-state \"x,y\"|tiles]\n"
-      "                  (scenario-capable engines: native-td native-bu native-hybrid)\n"
       "  analyze   [--graph FILE | --scale N ...]   degree/component report\n"
       "  trace     [--graph FILE | --scale N ...] [--root R]   level-trace CSV\n"
       "  tune      [--graph FILE | --scale N ...] [--device ...]\n"

@@ -21,9 +21,9 @@
 #include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
-#include "graph/grid_view.h"
 #include "graph/rmat.h"
 #include "graph/view.h"
+#include "walled_grid.h"
 
 namespace bfsx::bfs {
 namespace {
@@ -32,6 +32,8 @@ using graph::build_csr;
 using graph::make_binary_tree;
 using graph::make_path;
 using graph::make_star;
+using test::count_isolated;
+using test::walled_grid;
 
 graph::CsrGraph rmat(int scale, const graph::BuildOptions& opts = {}) {
   graph::RmatParams p;
@@ -359,19 +361,17 @@ void expect_candidate_rule(const V& g, vid_t root) {
 
 TEST(BottomUpCandidates, SymmetricRmatMatchesFullScan) {
   const CsrGraph g = rmat(12);
-  const graph::CsrGraphView view(g);
-  vid_t isolated = 0;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    isolated += g.out_degree(v) == 0;
-  }
-  ASSERT_GT(isolated, 0);
-  expect_candidate_rule(view, graph::sample_roots(g, 1, 500)[0]);
+  ASSERT_GT(count_isolated(g), 0);
+  expect_candidate_rule(graph::CsrGraphView(g),
+                        graph::sample_roots(g, 1, 500)[0]);
 }
 
 TEST(BottomUpCandidates, GridWithWallsMatchesFullScan) {
-  const graph::GridWorld grid(graph::GridSpec{
-      .width = 48, .height = 40, .wall_density = 0.3, .wall_seed = 23});
-  expect_candidate_rule(grid, graph::sample_view_roots(grid, 1, 5)[0]);
+  const CsrGraph g = walled_grid(48, 40, 0.3, 23);
+  ASSERT_GT(count_isolated(g), 0);
+  const vid_t root = graph::sample_roots(g, 1, 5)[0];
+  expect_candidate_rule(graph::CsrGraphView(g), root);
+  expect_candidate_rule(graph::CompressedCsrView(g), root);
 }
 
 // Directed R-MAT has vertices with out-edges but no in-edges: they can
@@ -539,8 +539,8 @@ TEST(HybridBookkeeping, CarriedFrontierEdgesMatchQueueSumOnEveryView) {
   const std::vector<graph::Edge> removes = {{0, 1}, {2, 3}};
   const graph::DeltaCsr delta =
       graph::DeltaCsr::apply(csr, nullptr, inserts, removes);
-  const graph::GridWorld grid(graph::GridSpec{
-      .width = 96, .height = 64, .wall_density = 0.2, .wall_seed = 5});
+  const CsrGraph grid = walled_grid(96, 64, 0.2, 5);
+  ASSERT_GT(count_isolated(grid), 0);
 
   const auto check = [](const auto& g, vid_t root, const char* name) {
     eid_t carried_before = -1;
@@ -566,7 +566,9 @@ TEST(HybridBookkeeping, CarriedFrontierEdgesMatchQueueSumOnEveryView) {
   check(flat, root, "CsrGraphView");
   check(compressed, root, "CompressedCsrView");
   check(delta, root, "DeltaCsr");
-  check(grid, graph::sample_view_roots(grid, 1, 3)[0], "GridWorld");
+  const vid_t grid_root = graph::sample_roots(grid, 1, 3)[0];
+  check(graph::CsrGraphView(grid), grid_root, "walled grid");
+  check(graph::CompressedCsrView(grid), grid_root, "compressed walled grid");
 }
 
 TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
@@ -575,8 +577,8 @@ TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
   directed_opts.symmetrize = false;
   const graph::CsrGraph directed = rmat(12, directed_opts);
   ASSERT_FALSE(directed.is_symmetric());
-  const graph::GridWorld grid(graph::GridSpec{
-      .width = 64, .height = 64, .wall_density = 0.25, .wall_seed = 9});
+  const CsrGraph grid = walled_grid(64, 64, 0.25, 9);
+  ASSERT_GT(count_isolated(grid), 0);
 
   const auto check = [](const auto& g, vid_t root, const char* name) {
     BfsState state = traverse_hybrid(
@@ -601,7 +603,9 @@ TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
           "symmetric R-MAT");
     check(graph::CsrGraphView(directed),
           graph::sample_roots(directed, 1, 11)[0], "directed R-MAT");
-    check(grid, graph::sample_view_roots(grid, 1, 11)[0], "grid");
+    const vid_t grid_root = graph::sample_roots(grid, 1, 11)[0];
+    check(graph::CsrGraphView(grid), grid_root, "walled grid");
+    check(graph::CompressedCsrView(grid), grid_root, "compressed walled grid");
   }
 }
 

@@ -25,6 +25,7 @@
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
 #include "graph/view.h"
+#include "walled_grid.h"
 
 namespace bfsx::graph {
 namespace {
@@ -206,11 +207,20 @@ TEST_P(CompressedTraversal, BitEqualOnRmatScale16) {
   for (const vid_t root : roots) expect_bit_equal(g, root);
 }
 
-TEST_P(CompressedTraversal, BitEqualOnGridScenarioGraph) {
+TEST_P(CompressedTraversal, BitEqualOnGrid) {
   omp_set_num_threads(GetParam());
   const CsrGraph g = build_csr(make_grid(64, 48));
   expect_bit_equal(g, /*root=*/0);
   expect_bit_equal(g, /*root=*/64 * 48 - 1);
+}
+
+// Walls leave isolated ids with empty rows between the live cells, so
+// the compressed view decodes zero-length rows inside every level.
+TEST_P(CompressedTraversal, BitEqualOnWalledGrid) {
+  omp_set_num_threads(GetParam());
+  const CsrGraph g = test::walled_grid(40, 30, 0.3, 13);
+  ASSERT_GT(test::count_isolated(g), 0);
+  for (const vid_t root : sample_roots(g, 3, 77)) expect_bit_equal(g, root);
 }
 
 TEST_P(CompressedTraversal, PureDirectionsMatchSerialOracle) {

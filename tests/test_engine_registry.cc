@@ -1,11 +1,13 @@
 // Tests for graph500::EngineRegistry: every engine family constructible
-// by name from one place, helpful unknown-name errors, and — through a
-// MemorySink attached at the single construction point — cross-engine
-// agreement of the per-level work counters.
+// by name from one place, helpful unknown-name errors, cross-engine
+// agreement of the per-level work counters (through a MemorySink
+// attached at the single construction point), and every engine on
+// high-diameter graphs through each batch mode of the runner.
 #include "graph500/engine_registry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,10 +17,12 @@
 #endif
 
 #include "graph/builder.h"
+#include "graph/generators.h"
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
 #include "graph500/reference_bfs.h"
 #include "obs/sink.h"
+#include "walled_grid.h"
 
 namespace bfsx::graph500 {
 namespace {
@@ -119,31 +123,6 @@ TEST(EngineRegistry, RejectsDuplicateAndMalformedRegistrations) {
                std::invalid_argument);
   EXPECT_THROW(registry.register_engine({"y", "no factory", nullptr}),
                std::invalid_argument);
-}
-
-TEST(EngineRegistry, ScenarioFactoriesCoverTheNativeFamily) {
-  const EngineRegistry registry = EngineRegistry::with_builtin_engines();
-  EXPECT_EQ(registry.scenario_names(),
-            (std::vector<std::string>{"native-td", "native-bu",
-                                      "native-hybrid"}));
-}
-
-TEST(EngineRegistry, ScenarioUnsupportedEngineNamesTheCapableOnes) {
-  const EngineRegistry registry = EngineRegistry::with_builtin_engines();
-  for (const char* name : {"msbfs", "hybrid", "dist"}) {
-    try {
-      (void)registry.make_scenario_engine(name, EngineConfig{});
-      FAIL() << "expected UnknownEngineError for " << name;
-    } catch (const UnknownEngineError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("does not support --scenario"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("native-hybrid"), std::string::npos) << what;
-    }
-  }
-  // Unknown names keep the usual did-you-mean treatment.
-  EXPECT_THROW((void)registry.make_scenario_engine("nosuch", EngineConfig{}),
-               UnknownEngineError);
 }
 
 /// The per-level work counters (|V|cq, |E|cq, next) are properties of
@@ -295,6 +274,82 @@ TEST(EngineRegistry, DistEngineReportsCommAndBalance) {
     EXPECT_EQ(lvl.device, "cluster[2]");
   }
 }
+
+/// Every registered engine, in its batched form (so msbfs runs beside
+/// the per-root engines), on graphs whose traversals take many levels:
+/// a walled grid, whose walls are isolated ids, and a path, one vertex
+/// per level.
+class BuiltinEngine : public ::testing::TestWithParam<std::string> {};
+
+/// Runs the named engine over `roots` in one batch; each tree must have
+/// the reference levels and component and pass the Graph 500 checks.
+void expect_reference_trees(const std::string& name, const graph::CsrGraph& g,
+                            const std::vector<graph::vid_t>& roots) {
+  const BatchBfsEngine engine =
+      EngineRegistry::with_builtin_engines().make_batch_engine(
+          name, EngineConfig{});
+  const std::vector<TimedBfs> got = engine(g, roots);
+  ASSERT_EQ(got.size(), roots.size()) << name;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const std::string where = name + " root " + std::to_string(roots[i]);
+    const bfs::BfsResult want = reference_bfs(g, roots[i]);
+    EXPECT_EQ(got[i].result.level, want.level) << where;
+    EXPECT_EQ(got[i].result.reached, want.reached) << where;
+    EXPECT_EQ(got[i].result.edges_in_component, want.edges_in_component)
+        << where;
+    EXPECT_TRUE(bfs::validate_bfs(g, roots[i], got[i].result).ok) << where;
+  }
+}
+
+TEST_P(BuiltinEngine, MatchesTheReferenceOnAWalledGrid) {
+  const graph::CsrGraph g = test::walled_grid(48, 40, 0.3, 23);
+  ASSERT_GT(test::count_isolated(g), 0);
+  expect_reference_trees(GetParam(), g, graph::sample_roots(g, 3, 5));
+}
+
+TEST_P(BuiltinEngine, MatchesTheReferenceOnAPath) {
+  constexpr graph::vid_t kLength = 1200;
+  const graph::CsrGraph g = graph::build_csr(graph::make_path(kLength));
+  const std::vector<graph::vid_t> roots = {0, kLength / 2, kLength - 1};
+  expect_reference_trees(GetParam(), g, roots);
+  EXPECT_EQ(reference_bfs(g, 0).level.back(), kLength - 1);
+}
+
+/// The runner's three dispatch modes run the same roots, so they must
+/// report the same runs, each validated, whichever engine serves them.
+TEST_P(BuiltinEngine, EveryBatchModeValidatesTheSameRunsOnAWalledGrid) {
+  const graph::CsrGraph g = test::walled_grid(32, 32, 0.15, 5);
+  const BatchBfsEngine engine =
+      EngineRegistry::with_builtin_engines().make_batch_engine(
+          GetParam(), EngineConfig{});
+  RunnerOptions opts;
+  opts.num_roots = 8;
+  const BenchmarkResult serial = run_benchmark(g, engine, opts);
+  ASSERT_EQ(serial.runs.size(), 8u);
+  EXPECT_EQ(serial.validation_failures, 0);
+  for (const BatchMode mode : {BatchMode::kParallelRoots, BatchMode::kMsBfs}) {
+    opts.batch_mode = mode;
+    const BenchmarkResult other = run_benchmark(g, engine, opts);
+    EXPECT_EQ(other.validation_failures, 0) << to_string(mode);
+    ASSERT_EQ(other.runs.size(), serial.runs.size()) << to_string(mode);
+    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+      EXPECT_EQ(other.runs[i].root, serial.runs[i].root) << to_string(mode);
+      EXPECT_EQ(other.runs[i].reached, serial.runs[i].reached)
+          << to_string(mode);
+      EXPECT_EQ(other.runs[i].edges, serial.runs[i].edges) << to_string(mode);
+      EXPECT_TRUE(other.runs[i].valid) << to_string(mode);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, BuiltinEngine,
+    ::testing::ValuesIn(EngineRegistry::with_builtin_engines().names()),
+    [](const ::testing::TestParamInfo<std::string>& engine) {
+      std::string id = engine.param;
+      std::replace(id.begin(), id.end(), '-', '_');
+      return id;
+    });
 
 }  // namespace
 }  // namespace bfsx::graph500

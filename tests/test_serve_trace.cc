@@ -1,16 +1,20 @@
 // serve trace format: parse/print round-trips, line-numbered errors,
-// deterministic generation, and replay bookkeeping.
+// deterministic generation, replay bookkeeping, and the write path
+// under churn (delta publishes answer like full rebuilds, for less).
 #include "serve/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/rmat.h"
+#include "obs/registry.h"
 #include "serve/engine.h"
 
 namespace bfsx::serve {
@@ -182,6 +186,88 @@ TEST(ServeTrace, OpenLoopAndLockstepReplaysDigestEqual) {
   std::vector<ReplayAnswer> changed = lockstep.answers;
   changed.back().distance += 1;
   EXPECT_NE(answer_digest(changed), answer_digest(lockstep.answers));
+}
+
+// One low-churn trace replayed in lockstep under full-rebuild, delta
+// and delta+repair publishing. Delta epochs and repaired caches must be
+// indistinguishable from full rebuilds except in cost: every recorded
+// answer (distance, reachability, BFS level-map checksum, epoch) is
+// identical, and at <= 0.1% edge churn per publish a delta graph
+// publish is at least 5x cheaper than a rebuild.
+TEST(ServeChurn, DeltaPublishesAnswerLikeRebuildsAtAFifthOfTheCost) {
+  graph::RmatParams p;
+  p.scale = 12;
+  p.edgefactor = 16;
+  p.seed = 2014;
+  const graph::EdgeList edges = graph::generate_rmat(p);
+  const graph::CsrGraph g = graph::build_csr(edges);
+  TraceGenOptions gen;
+  gen.num_queries = 96;
+  gen.bfs_fraction = 0.05;
+  gen.hot_fraction = 0.9;
+  gen.hot_set = 16;
+  gen.insert_every = 2;
+  gen.publish_every = 12;
+  gen.seed = 777;
+  const std::vector<TraceOp> ops = generate_query_trace(g, gen);
+
+  std::int64_t writes = 0;
+  std::int64_t publishes = 0;
+  for (const TraceOp& op : ops) {
+    writes += op.kind == TraceOp::Kind::kInsert ||
+              op.kind == TraceOp::Kind::kRemove;
+    publishes += op.kind == TraceOp::Kind::kPublish;
+  }
+  ASSERT_GT(publishes, 0);
+  const double churn_per_publish = static_cast<double>(writes) /
+                                   static_cast<double>(publishes) /
+                                   static_cast<double>(g.num_edges());
+  EXPECT_LE(churn_per_publish, 0.001);
+
+  struct Config {
+    const char* name;
+    bool delta;
+    bool repair;
+  };
+  const Config configs[] = {{"full rebuild", false, false},
+                            {"delta", true, false},
+                            {"delta+repair", true, true}};
+  std::vector<std::vector<ReplayAnswer>> answers;
+  std::vector<double> publish_ms;
+  for (const Config& c : configs) {
+    ServeOptions sopt;
+    sopt.workers = 2;
+    sopt.cache_enabled = true;
+    sopt.num_landmarks = 16;
+    sopt.queue_capacity = ops.size();
+    sopt.delta_publish = c.delta;
+    sopt.repair_cache = c.repair;
+    QueryEngine engine(graph::EdgeList(edges), sopt);
+    const ReplaySummary sum = replay_trace_lockstep(engine, ops);
+    obs::Registry metrics;
+    engine.export_metrics(metrics);
+    engine.shutdown();
+    ASSERT_EQ(sum.publishes, publishes) << c.name;
+    answers.push_back(sum.answers);
+    publish_ms.push_back(metrics.timer("serve.publish").seconds * 1e3 /
+                         static_cast<double>(publishes));
+  }
+
+  const auto fields = [](const ReplayAnswer& a) {
+    return std::tuple(a.ok, a.kind, a.distance, a.reachable, a.epoch,
+                      a.bfs_checksum);
+  };
+  ASSERT_EQ(answers[0].size(), 96u);
+  for (std::size_t c = 1; c < answers.size(); ++c) {
+    ASSERT_EQ(answers[c].size(), answers[0].size()) << configs[c].name;
+    for (std::size_t i = 0; i < answers[0].size(); ++i) {
+      EXPECT_EQ(fields(answers[c][i]), fields(answers[0][i]))
+          << configs[c].name << ", answer " << i;
+    }
+  }
+  EXPECT_GE(publish_ms[0], 5.0 * publish_ms[1])
+      << "per-publish ms: full rebuild " << publish_ms[0] << ", delta "
+      << publish_ms[1];
 }
 
 }  // namespace
