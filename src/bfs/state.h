@@ -137,6 +137,11 @@ struct BfsState {
     return frontier_queue.empty();
   }
 
+  /// |V|cq of the current frontier.
+  [[nodiscard]] vid_t frontier_vertices() const noexcept {
+    return static_cast<vid_t>(frontier_queue.size());
+  }
+
   /// |E|cq of the current frontier: the value the last level step
   /// carried, or — before any step — the degree sum of the queue.
   template <typename G>

@@ -1,13 +1,16 @@
-// The one BFS level loop. Every single-source traversal in the library
-// — wall-clock or modelled, one device or Algorithm 3's two, pure,
-// M/N, Beamer or distributed — is this loop with a different policy
-// and clock:
+// The one BFS level loop. Every traversal in the library — wall-clock
+// or modelled, one device or Algorithm 3's two, pure, M/N, Beamer,
+// distributed, or MS-BFS's 64 lanes at once — is this loop with a
+// different state, policy and clock:
 //
 //   while the frontier is not empty:
 //     read |V|cq and the |E|cq the previous step carried;
 //     ask the policy for a direction (and, for Algorithm 3, a device);
 //     hand the level to the clock, which runs the step and prices it.
 //
+// A state is a single-source BfsState or MS-BFS's lane state
+// (bfs/msbfs.h); each has its own step_level overload, which the
+// clocks call unqualified so that argument-dependent lookup finds it.
 // A policy is any type with `decide(const Frontier&)` returning a
 // Direction or a Decision. It is taken by reference, so a stateful rule
 // (Beamer's explored-edge sum, Algorithm 3's on-accelerator flag) keeps
@@ -15,8 +18,8 @@
 // is any callable `clock(g, state, frontier, decision)`; it runs the
 // level — usually through step_level — and does whatever accounting it
 // stands for: wall time, a device model, a cluster's supersteps, a log.
-// Both are template parameters, so the loop makes no type-erased call
-// and allocates nothing itself.
+// All three are template parameters, so the loop makes no type-erased
+// call and allocates nothing itself.
 #pragma once
 
 #include <cstdint>
@@ -100,16 +103,24 @@ LevelStats step_level(const G& g, BfsState& state, const Frontier& f,
   return out;
 }
 
+/// The clock that only runs the level and charges nothing.
+struct StepClock {
+  template <typename G, typename State>
+  LevelStats operator()(const G& g, State& state, const Frontier& f,
+                        Decision d) const {
+    return step_level(g, state, f, d.direction);
+  }
+};
+
 /// Runs `state` to completion: one policy decision and one clock call
 /// per level.
-template <typename G, typename Policy, typename Clock>
-void traverse(const G& g, BfsState& state, Policy&& policy,
+template <typename G, typename State, typename Policy, typename Clock>
+void traverse(const G& g, State& state, Policy&& policy,
               Clock&& level_clock) {
   const vid_t total_vertices = g.num_vertices();
   const eid_t total_edges = g.num_edges();
   while (!state.frontier_empty()) {
-    const Frontier f{state.current_level,
-                     static_cast<vid_t>(state.frontier_queue.size()),
+    const Frontier f{state.current_level, state.frontier_vertices(),
                      state.frontier_out_edges(g), total_vertices,
                      total_edges};
     const Decision d = policy.decide(f);

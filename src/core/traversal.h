@@ -1,14 +1,17 @@
-// The run wrapper around bfs::traverse (bfs/traverse.h), and the clocks
-// engines price their levels with.
+// The run wrapper around bfs::traverse (bfs/traverse.h), the
+// per-level bookkeeping it shares with the MS-BFS batch engine, and the
+// clocks engines price their levels with.
 //
-// Every single-source engine used to repeat the same bookkeeping around
-// its own level loop. run_traversal does it once: it takes a BfsState
-// from a StatePool or makes a fresh one, runs the loop with the
-// caller's policy and clock, emits the run_begin, level and run_end
-// trace events, counts direction switches and calls take_result. The
-// engines differ only in the (policy, clock) pair they pass:
+// LevelLedger books every level a clock charged: it sums the charges,
+// counts levels and direction switches, and emits the level (and
+// handoff) trace events. run_traversal wraps it around one
+// single-source run: it takes a BfsState from a StatePool or makes a
+// fresh one, emits run_begin and run_end, and calls take_result. The
+// msbfs batch engine (graph500/native_engine.cc) books the levels of
+// an MS-BFS pass with the same ledger. The engines differ only in the
+// (policy, clock) pair they pass:
 //
-//   native-*           WallClock                 forced / M/N policy
+//   native-*, msbfs    WallClock                 forced / M/N policy
 //   td, bu, hybrid     DeviceClock               forced / M/N / Beamer
 //   ref                DeviceClock × kReferencePenalty, top-down
 //   cross              host + accelerator DeviceClocks, Algorithm 3's
@@ -79,13 +82,14 @@ struct Charge {
   double handoff_seconds = 0.0;
 };
 
-/// Wall time on this host: two steady_clock reads around the step.
+/// Wall time on this host: two steady_clock reads around the step of
+/// any state — a BfsState or MS-BFS's lane state.
 struct WallClock {
-  template <typename G>
-  Charge operator()(const G& g, bfs::BfsState& state,
-                    const bfs::Frontier& f, bfs::Decision d) const {
+  template <typename G, typename State>
+  Charge operator()(const G& g, State& state, const bfs::Frontier& f,
+                    bfs::Decision d) const {
     const auto start = std::chrono::steady_clock::now();
-    Charge c{bfs::step_level(g, state, f, d.direction), "host"};
+    Charge c{step_level(g, state, f, d.direction), "host"};
     c.compute_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -114,6 +118,67 @@ struct DeviceClock {
   }
 };
 
+/// Books the levels of one run, in level order. A level that moved to
+/// another device is charged its clock's handoff_seconds first. With a
+/// sink, each level is traced as a level event — preceded by a handoff
+/// event when it moved — and `levels`, when given, also receives every
+/// level event.
+struct LevelLedger {
+  obs::TraceSink* sink = nullptr;
+  std::vector<obs::LevelEvent>* levels = nullptr;
+  double charged = 0.0;     // compute and handoffs, in level order
+  double handoffs = 0.0;    // the handoff share of `charged`
+  double level_comm = 0.0;  // the levels' own comm share
+  int device = 0;
+  bfs::Direction previous = bfs::Direction::kTopDown;
+  std::int32_t depth = 0;
+  int direction_switches = 0;
+
+  void book(const bfs::Frontier& f, bfs::Decision d, const Charge& c) {
+    if (d.device != device) {
+      device = d.device;
+      charged += c.handoff_seconds;
+      handoffs += c.handoff_seconds;
+      if (sink != nullptr) {
+        obs::LevelEvent handoff;
+        handoff.kind = obs::LevelEvent::Kind::kHandoff;
+        handoff.level = f.level;
+        handoff.device = std::string(c.device);
+        handoff.frontier_vertices = f.vertices;
+        handoff.frontier_edges = f.edges;
+        handoff.comm_seconds = c.handoff_seconds;
+        sink->on_level(handoff);
+      }
+    }
+    charged += c.compute_seconds;
+    level_comm += c.comm_seconds;
+    if (depth > 0 && c.stats.direction != previous) ++direction_switches;
+    previous = c.stats.direction;
+    ++depth;
+    if (sink == nullptr && levels == nullptr) return;
+    obs::LevelEvent e;
+    e.level = c.stats.level;
+    e.direction = c.stats.direction;
+    e.device = std::string(c.device);
+    e.frontier_vertices = c.stats.frontier_vertices;
+    e.frontier_edges = c.stats.frontier_edges;
+    e.bu_edges_hit = c.stats.bu_edges_hit;
+    e.bu_edges_miss = c.stats.bu_edges_miss;
+    e.next_vertices = c.stats.next_vertices;
+    e.compute_seconds = c.compute_seconds;
+    e.comm_seconds = c.comm_seconds;
+    e.balance = c.balance;
+    if (sink != nullptr) sink->on_level(e);
+    if (levels != nullptr) levels->push_back(std::move(e));
+  }
+
+  /// Every charge: compute and handoffs in level order, the levels'
+  /// comm share added last.
+  [[nodiscard]] double seconds() const { return charged + level_comm; }
+  /// The comm and handoff share of seconds().
+  [[nodiscard]] double comm_seconds() const { return handoffs + level_comm; }
+};
+
 /// One run's totals.
 struct Traversal {
   bfs::BfsResult result;
@@ -124,12 +189,9 @@ struct Traversal {
 };
 
 /// Runs one traversal of `g` from `root` through bfs::traverse with
-/// `policy` and `level_clock`. The state is leased from `pool` when one is
-/// given. With a sink, the run is traced as `engine`: run_begin, one
-/// level event per level — preceded by a handoff event when the level
-/// moved to another device — and run_end. `levels`, when given, also
-/// receives every level event. Charges are summed in level order, with
-/// the comm share added last.
+/// `policy` and `level_clock`, its levels booked by a LevelLedger. The
+/// state is leased from `pool` when one is given. With a sink, the run
+/// is traced as `engine`: run_begin, the ledger's events and run_end.
 template <typename G, typename Policy, typename Clock>
 Traversal run_traversal(const G& g, graph::vid_t root, const char* engine,
                         Policy&& policy, Clock&& level_clock,
@@ -143,55 +205,17 @@ Traversal run_traversal(const G& g, graph::vid_t root, const char* engine,
                       : local.emplace(g.num_vertices(), root);
   obs::RunEvent trace = trace_begin_run(sink, engine, g, root);
 
-  Traversal run;
-  double charged = 0.0;     // compute and handoffs, in level order
-  double level_comm = 0.0;  // the levels' own comm share
-  int device = 0;
-  bfs::Direction previous = bfs::Direction::kTopDown;
+  LevelLedger ledger{sink, levels};
   bfs::traverse(g, state, policy,
                 [&](const G& view, bfs::BfsState& s, const bfs::Frontier& f,
                     bfs::Decision d) {
-                  const Charge c = level_clock(view, s, f, d);
-                  if (d.device != device) {
-                    device = d.device;
-                    charged += c.handoff_seconds;
-                    run.comm_seconds += c.handoff_seconds;
-                    if (sink != nullptr) {
-                      obs::LevelEvent handoff;
-                      handoff.kind = obs::LevelEvent::Kind::kHandoff;
-                      handoff.level = f.level;
-                      handoff.device = std::string(c.device);
-                      handoff.frontier_vertices = f.vertices;
-                      handoff.frontier_edges = f.edges;
-                      handoff.comm_seconds = c.handoff_seconds;
-                      sink->on_level(handoff);
-                    }
-                  }
-                  charged += c.compute_seconds;
-                  level_comm += c.comm_seconds;
-                  if (run.depth > 0 && c.stats.direction != previous) {
-                    ++run.direction_switches;
-                  }
-                  previous = c.stats.direction;
-                  ++run.depth;
-                  if (sink == nullptr && levels == nullptr) return;
-                  obs::LevelEvent e;
-                  e.level = c.stats.level;
-                  e.direction = c.stats.direction;
-                  e.device = std::string(c.device);
-                  e.frontier_vertices = c.stats.frontier_vertices;
-                  e.frontier_edges = c.stats.frontier_edges;
-                  e.bu_edges_hit = c.stats.bu_edges_hit;
-                  e.bu_edges_miss = c.stats.bu_edges_miss;
-                  e.next_vertices = c.stats.next_vertices;
-                  e.compute_seconds = c.compute_seconds;
-                  e.comm_seconds = c.comm_seconds;
-                  e.balance = c.balance;
-                  if (sink != nullptr) sink->on_level(e);
-                  if (levels != nullptr) levels->push_back(std::move(e));
+                  ledger.book(f, d, level_clock(view, s, f, d));
                 });
-  run.seconds = charged + level_comm;
-  run.comm_seconds += level_comm;
+  Traversal run;
+  run.seconds = ledger.seconds();
+  run.comm_seconds = ledger.comm_seconds();
+  run.depth = ledger.depth;
+  run.direction_switches = ledger.direction_switches;
   run.result = std::move(state).take_result(g);
   trace_end_run(sink, std::move(trace), run.result, run.seconds,
                 run.comm_seconds, run.depth, run.direction_switches);

@@ -56,47 +56,29 @@ BatchBfsEngine make_msbfs_batch_engine(core::HybridPolicy policy,
   policy.validate();
   return [policy, sink](const graph::CsrGraph& g,
                         const std::vector<graph::vid_t>& batch) {
-    bfs::MsBfsOptions mopts;
-    mopts.m = policy.m;
-    mopts.n = policy.n;
-
-    obs::RunEvent trace;
-    if (sink != nullptr) {
-      trace = core::trace_begin_run(sink, "msbfs", g,
-                                    batch.empty() ? 0 : batch.front());
-    }
+    obs::RunEvent trace = core::trace_begin_run(
+        sink, "msbfs", g, batch.empty() ? 0 : batch.front());
+    core::LevelLedger ledger{sink};
     const auto start = std::chrono::steady_clock::now();
-    bfs::MsBfsResult ms =
-        bfs::ms_bfs(g, std::span<const graph::vid_t>(batch), mopts);
+    bfs::MsBfsResult ms = bfs::ms_bfs(
+        g, std::span<const graph::vid_t>(batch), policy,
+        [&ledger](const auto& view, bfs::MsState& state,
+                  const bfs::Frontier& f, bfs::Decision d) {
+          ledger.book(f, d, core::WallClock{}(view, state, f, d));
+        });
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
 
-    if (sink != nullptr) {
-      // One trace run per batch: level events carry the union-frontier
-      // counters the direction decision actually saw and the level's
-      // wall time as the kernel measured it.
-      for (const bfs::MsUnionLevel& lvl : ms.levels) {
-        obs::LevelEvent event;
-        event.device = "host";
-        event.level = lvl.level;
-        event.direction = lvl.direction;
-        event.frontier_vertices = lvl.frontier_vertices;
-        event.frontier_edges = lvl.frontier_edges;
-        event.next_vertices = lvl.next_vertices;
-        event.compute_seconds = lvl.seconds;
-        sink->on_level(event);
-      }
-      // Totals for the batch run: the union traversal's footprint.
-      bfs::BfsResult batch_totals;
-      for (const bfs::BfsResult& r : ms.per_root) {
-        batch_totals.reached = std::max(batch_totals.reached, r.reached);
-        batch_totals.edges_in_component = std::max(
-            batch_totals.edges_in_component, r.edges_in_component);
-      }
-      core::trace_end_run(sink, std::move(trace), batch_totals, wall, 0.0,
-                          ms.depth, ms.direction_switches);
+    // Totals for the batch run: the union traversal's footprint.
+    bfs::BfsResult batch_totals;
+    for (const bfs::BfsResult& r : ms.per_root) {
+      batch_totals.reached = std::max(batch_totals.reached, r.reached);
+      batch_totals.edges_in_component =
+          std::max(batch_totals.edges_in_component, r.edges_in_component);
     }
+    core::trace_end_run(sink, std::move(trace), batch_totals, wall, 0.0,
+                        ledger.depth, ledger.direction_switches);
 
     const double share = wall / static_cast<double>(batch.size());
     std::vector<TimedBfs> out;

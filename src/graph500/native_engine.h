@@ -66,13 +66,12 @@ TimedBfs run_native(const G& g, graph::vid_t root, const char* engine,
     const graph::CompressedCsrView* compressed = nullptr);
 
 /// Bit-parallel multi-source BFS (bfs::ms_bfs), wall-clock timed per
-/// batch. `policy`'s M/N knobs steer the union-frontier direction
-/// switch. Per-root seconds are the batch wall time divided evenly
+/// batch. `policy` decides each level's direction on the union
+/// frontier. Per-root seconds are the batch wall time divided evenly
 /// across the batch. With a sink attached, each batch is traced as one
-/// run of engine "msbfs" (root = first of the batch) whose level events
-/// carry the union-frontier counters and each level's wall time as the
-/// kernel measured it; per-lane counters stay available to embedders
-/// via bfs::ms_bfs directly.
+/// run of engine "msbfs" (root = first of the batch): its levels are
+/// timed by core::WallClock and booked by core::LevelLedger, as in
+/// run_native, so the level events carry the union-frontier counters.
 [[nodiscard]] BatchBfsEngine make_msbfs_batch_engine(
     core::HybridPolicy policy, obs::TraceSink* sink = nullptr);
 

@@ -91,12 +91,17 @@ struct QueryEvent {
   Stage stage = Stage::kEnqueue;
   std::int64_t query_id = -1;    // engine-assigned; -1 for kDispatch
   /// Stage-dependent detail: the query kind for enqueue/complete, the
-  /// rejection reason for kReject, the dispatch path ("msbfs" or the
-  /// single-source engine name) for kDispatch.
+  /// rejection reason for kReject, the dispatch path for kDispatch:
+  /// "pair" for the tick's point queries (bidirectional search), or the
+  /// engine name of its single-source traversals.
   std::string detail;
   std::uint64_t epoch = 0;       // graph epoch the stage observed
   std::int32_t batch_size = 0;   // kDispatch: queries coalesced this tick
-  std::int32_t lanes = 0;        // kDispatch: distinct MS-BFS lanes (0 = single)
+  /// kDispatch: always 0, since serve ticks run no MS-BFS. The field
+  /// stays only because perfbench's span attribution reads it to tell
+  /// MS-BFS passes from other dispatches (perfbench/stats.cc), until
+  /// the next benchmark change drops that reading.
+  std::int32_t lanes = 0;
   double seconds = 0.0;          // kComplete: submit -> answer latency
 };
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bfs/msbfs.h"
+#include "core/hybrid_policy.h"
 #include "graph/csr.h"
 #include "graph/edge_list.h"
 #include "graph/graph_stats.h"
@@ -112,7 +113,7 @@ class LandmarkCache {
                             .record = bfs::MsLane::Record::kRow,
                             .row = std::span(c.dist_).subspan(lane * n, n)});
     }
-    (void)bfs::ms_bfs(g, rows);
+    (void)bfs::ms_bfs(g, rows, core::HybridPolicy{});
     for (std::size_t lane = 0; lane < c.landmarks_.size(); ++lane) {
       c.lane_of_[static_cast<std::size_t>(c.landmarks_[lane])] =
           static_cast<std::int32_t>(lane);

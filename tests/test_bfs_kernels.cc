@@ -1,8 +1,6 @@
 // Unit tests for the top-down and bottom-up level-step kernels.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -13,6 +11,7 @@
 #include "bfs/bottomup.h"
 #include "bfs/drivers.h"
 #include "bfs/frontier.h"
+#include "bfs/msbfs.h"
 #include "bfs/topdown.h"
 #include "check/report.h"
 #include "core/hybrid_policy.h"
@@ -23,6 +22,7 @@
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
 #include "graph/view.h"
+#include "thread_count.h"
 #include "walled_grid.h"
 
 namespace bfsx::bfs {
@@ -33,6 +33,7 @@ using graph::make_binary_tree;
 using graph::make_path;
 using graph::make_star;
 using test::count_isolated;
+using test::ThreadCountGuard;
 using test::walled_grid;
 
 graph::CsrGraph rmat(int scale, const graph::BuildOptions& opts = {}) {
@@ -65,18 +66,6 @@ BfsState traverse_hybrid(const V& g, vid_t root, After&& after) {
   }
   return state;
 }
-
-/// Restores the OpenMP team width a test changes.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-};
 
 TEST(TopDownStep, ExpandsOneLevelOfAPath) {
   const CsrGraph g = build_csr(make_path(5));
@@ -341,7 +330,7 @@ void expect_candidate_rule(const V& g, vid_t root) {
   const ThreadCountGuard guard;
   const core::HybridPolicy policy{};
   for (const int threads : {1, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     SCOPED_TRACE(testing::Message() << threads << " threads");
     (void)expect_bottom_up_matches_full_scan(g, root, [&](const BfsState& s) {
       return policy.decide(s.frontier_out_edges(g),
@@ -493,7 +482,7 @@ TEST(HybridBookkeeping, IdenticalForEveryTeamSizeAndNestedTeams) {
   const vid_t root = graph::sample_roots(csr, 1, 7)[0];
   const ThreadCountGuard guard;
 
-  omp_set_num_threads(1);
+  test::set_threads(1);
   const HybridRecord serial = record_hybrid(g, root);
   // The traversal must exercise both directions and the compaction.
   ASSERT_TRUE(std::any_of(serial.steps.begin(), serial.steps.end(),
@@ -501,16 +490,17 @@ TEST(HybridBookkeeping, IdenticalForEveryTeamSizeAndNestedTeams) {
                             return r.dir == Direction::kBottomUp;
                           }));
   for (const int threads : {2, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     const HybridRecord parallel = record_hybrid(g, root);
     expect_same_record(serial, parallel,
                        threads == 2 ? "2 threads" : "4 threads");
   }
 
+#ifdef _OPENMP
   // A traversal started from inside a parallel region runs its level
   // steps in nested 1-thread teams while omp_get_max_threads() still
   // reports the outer width.
-  omp_set_num_threads(4);
+  test::set_threads(4);
   const int saved_levels = omp_get_max_active_levels();
   omp_set_max_active_levels(1);
   HybridRecord nested;
@@ -526,6 +516,7 @@ TEST(HybridBookkeeping, IdenticalForEveryTeamSizeAndNestedTeams) {
   omp_set_max_active_levels(saved_levels);
   ASSERT_TRUE(in_parallel);
   expect_same_record(serial, nested, "nested");
+#endif  // _OPENMP
 }
 
 TEST(HybridBookkeeping, CarriedFrontierEdgesMatchQueueSumOnEveryView) {
@@ -598,7 +589,7 @@ TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
   };
   const ThreadCountGuard guard;
   for (const int threads : {1, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     check(graph::CsrGraphView(sym), graph::sample_roots(sym, 1, 11)[0],
           "symmetric R-MAT");
     check(graph::CsrGraphView(directed),
@@ -611,19 +602,20 @@ TEST(HybridBookkeeping, EdgesInComponentMatchesSerialCount) {
 
 // --- edge-balanced top-down levels ----------------------------------
 
-/// Runs `run` at 1, 2 and 4 threads and once from inside an enclosing
-/// parallel region (a nested 1-thread team), returning each result
-/// under a label.
+/// Runs `run` at 1, 2 and 4 threads and, with OpenMP, once from inside
+/// an enclosing parallel region (a nested 1-thread team), returning
+/// each result under a label.
 template <typename Run>
 auto at_every_team_size(Run&& run) {
   using Result = decltype(run());
   std::vector<std::pair<std::string, Result>> out;
   const ThreadCountGuard guard;
   for (const int threads : {1, 2, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     out.emplace_back(std::to_string(threads) + " threads", run());
   }
-  omp_set_num_threads(4);
+#ifdef _OPENMP
+  test::set_threads(4);
   const int saved_levels = omp_get_max_active_levels();
   omp_set_max_active_levels(1);
   Result nested;
@@ -634,6 +626,7 @@ auto at_every_team_size(Run&& run) {
   }
   omp_set_max_active_levels(saved_levels);
   out.emplace_back("nested", std::move(nested));
+#endif  // _OPENMP
   return out;
 }
 
@@ -738,7 +731,7 @@ TEST(TopDownBalance, StarCentreRowSplitsIdenticallyOnEveryView) {
       expect_same_steps(serial, runs[i].second, runs[i].first);
     }
     const ThreadCountGuard guard;
-    omp_set_num_threads(4);
+    test::set_threads(4);
     expect_same_steps(serial, record_top_down(compressed, root, 3),
                       "CompressedCsrView");
   }
@@ -788,8 +781,8 @@ TEST(TopDownBalance, PiecesCoverEveryWeightedEdgeOnce) {
 
 // --- the parent rule --------------------------------------------------
 
-/// The parent every single-source kernel returns: the smallest-id
-/// vertex one level up with an edge to v.
+/// The parent every kernel returns, single-source or MS-BFS: the
+/// smallest-id vertex one level up with an edge to v.
 template <typename V>
 std::vector<vid_t> canonical_parents(const V& g,
                                      const std::vector<std::int32_t>& level,
@@ -818,6 +811,23 @@ std::string parent_mismatch(const std::vector<vid_t>& got,
          std::to_string(*g) + ", want " + std::to_string(*w);
 }
 
+/// The serial levels and the canonical parents of a traversal from
+/// each of `roots`.
+struct ParentOracle {
+  std::vector<BfsResult> serial;
+  std::vector<std::vector<vid_t>> want;
+};
+
+template <typename V>
+ParentOracle parent_oracle(const V& g, const std::vector<vid_t>& roots) {
+  ParentOracle o;
+  for (const vid_t root : roots) {
+    o.serial.push_back(run_serial(g, root));
+    o.want.push_back(canonical_parents(g, o.serial.back().level, root));
+  }
+  return o;
+}
+
 TEST(CanonicalParents, EveryDriverReturnsTheSmallestParentOneLevelUp) {
   graph::BuildOptions directed_opts;
   directed_opts.symmetrize = false;
@@ -843,34 +853,55 @@ TEST(CanonicalParents, EveryDriverReturnsTheSmallestParentOneLevelUp) {
         csr, nullptr, inserts, removes,
         symmetric ? graph::BuildOptions{} : directed_opts);
     const std::vector<vid_t> roots = graph::sample_roots(*csr, 2, 21);
+    // An MS-BFS batch of 64 tree lanes, one root twice.
+    std::vector<vid_t> batch =
+        graph::sample_roots(*csr, kMsBfsMaxLanes - 1, 23);
+    batch.push_back(batch[batch.size() / 2]);
+    const ParentOracle flat_roots = parent_oracle(flat, roots);
+    const ParentOracle flat_batch = parent_oracle(flat, batch);
+    const ParentOracle delta_roots = parent_oracle(delta, roots);
+    const ParentOracle delta_batch = parent_oracle(delta, batch);
 
-    const auto check = [&roots](const auto& g, const std::string& where) {
-      for (const vid_t root : roots) {
-        const BfsResult serial = run_serial(g, root);
-        const std::vector<vid_t> want =
-            canonical_parents(g, serial.level, root);
-        const auto expect = [&](const BfsResult& r, const char* driver) {
-          EXPECT_TRUE(r.level == serial.level)
-              << where << " " << driver << " root " << root;
-          EXPECT_EQ(parent_mismatch(r.parent, want), "")
-              << where << " " << driver << " root " << root;
-        };
-        expect(run_top_down(g, root), "top-down");
-        expect(run_bottom_up(g, root), "bottom-up");
+    const auto check = [&roots, &batch](const auto& g,
+                                        const ParentOracle& single,
+                                        const ParentOracle& lanes,
+                                        const std::string& where) {
+      const auto expect = [&](const BfsResult& r, const ParentOracle& o,
+                              std::size_t i, const std::string& driver) {
+        EXPECT_TRUE(r.level == o.serial[i].level) << where << " " << driver;
+        EXPECT_EQ(parent_mismatch(r.parent, o.want[i]), "")
+            << where << " " << driver;
+      };
+      for (std::size_t i = 0; i < roots.size(); ++i) {
+        const std::string root = " root " + std::to_string(roots[i]);
+        expect(run_top_down(g, roots[i]), single, i, "top-down" + root);
+        expect(run_bottom_up(g, roots[i]), single, i, "bottom-up" + root);
         BfsState hybrid = traverse_hybrid(
-            g, root, [](const BfsState&, Direction, const TopDownStats&,
-                        const BottomUpStats&) {});
-        expect(std::move(hybrid).take_result(g), "hybrid");
+            g, roots[i], [](const BfsState&, Direction, const TopDownStats&,
+                            const BottomUpStats&) {});
+        expect(std::move(hybrid).take_result(g), single, i,
+               "hybrid" + root);
       }
+      const auto expect_pass = [&](const auto& policy, const char* name) {
+        const MsBfsResult ms = ms_bfs(g, batch, policy);
+        for (std::size_t l = 0; l < batch.size(); ++l) {
+          expect(ms.per_root[l], lanes, l,
+                 std::string(name) + " lane " + std::to_string(l) +
+                     " root " + std::to_string(batch[l]));
+        }
+      };
+      expect_pass(ForcedPolicy{Direction::kTopDown}, "MS-BFS top-down");
+      expect_pass(ForcedPolicy{Direction::kBottomUp}, "MS-BFS bottom-up");
+      expect_pass(core::HybridPolicy{}, "MS-BFS M/N");
     };
-    for (const int threads : {1, 4}) {
-      omp_set_num_threads(threads);
+    for (const int threads : {1, 2, 4}) {
+      test::set_threads(threads);
       const std::string where =
           std::string(symmetric ? "symmetric, " : "directed, ") +
           std::to_string(threads) + " threads, ";
-      check(flat, where + "CsrGraphView");
-      check(compressed, where + "CompressedCsrView");
-      check(delta, where + "DeltaCsr");
+      check(flat, flat_roots, flat_batch, where + "CsrGraphView");
+      check(compressed, flat_roots, flat_batch, where + "CompressedCsrView");
+      check(delta, delta_roots, delta_batch, where + "DeltaCsr");
     }
   }
 }
@@ -917,7 +948,7 @@ TEST(FrontierHelpers, ComplementDecodeListsEveryUnsetPosition) {
 TEST(FrontierHelpers, OrderedFilterMatchesCopyIfInPlace) {
   const auto keep = [](vid_t v) { return v % 5 != 0 && v % 11 != 3; };
   const ThreadCountGuard guard;
-  omp_set_num_threads(4);
+  test::set_threads(4);
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, kCompactBlock - 1, kCompactBlock + 1,
         kCompactParallelMin + 3 * kCompactBlock + 17}) {
@@ -983,7 +1014,7 @@ TEST(TopDownScratch, CapacityStableAcrossRepeatTraversals) {
   const graph::CsrGraph g = rmat(14);
   const graph::CsrGraphView view(g);
   const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
-  omp_set_num_threads(1);
+  test::set_threads(1);
 
   BfsState state(g.num_vertices(), root);
   // Warm-up runs: buffers reach their high-water marks, and the
@@ -1020,7 +1051,7 @@ TEST(TopDownScratch, ParallelRunsKeepTeamWidthAndResults) {
   const graph::CsrGraph g = rmat(12);
   const graph::CsrGraphView view(g);
   const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
-  omp_set_num_threads(4);
+  test::set_threads(4);
   BfsState state(g.num_vertices(), root);
   while (!state.frontier_empty()) top_down_step(view, state);
   const std::size_t parts = state.td_local_next.size();
@@ -1059,7 +1090,7 @@ TEST(BottomUpReserve, UnvisitedReservesRemainderNotWholeGraph) {
   const graph::CsrGraph g = rmat(14);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const graph::vid_t root = graph::sample_roots(g, 1, 500)[0];
-  omp_set_num_threads(1);
+  test::set_threads(1);
 
   // Run top-down until a sizable share of the graph is visited, then
   // prime the candidate list via one bottom-up step.

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -25,6 +23,7 @@
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
 #include "graph/view.h"
+#include "thread_count.h"
 #include "walled_grid.h"
 
 namespace bfsx::graph {
@@ -201,14 +200,14 @@ void expect_bit_equal(const CsrGraph& g, vid_t root) {
 class CompressedTraversal : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompressedTraversal, BitEqualOnRmatScale16) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const CsrGraph g = rmat(16);
   const std::vector<vid_t> roots = sample_roots(g, 3, 500);
   for (const vid_t root : roots) expect_bit_equal(g, root);
 }
 
 TEST_P(CompressedTraversal, BitEqualOnGrid) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const CsrGraph g = build_csr(make_grid(64, 48));
   expect_bit_equal(g, /*root=*/0);
   expect_bit_equal(g, /*root=*/64 * 48 - 1);
@@ -217,14 +216,14 @@ TEST_P(CompressedTraversal, BitEqualOnGrid) {
 // Walls leave isolated ids with empty rows between the live cells, so
 // the compressed view decodes zero-length rows inside every level.
 TEST_P(CompressedTraversal, BitEqualOnWalledGrid) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const CsrGraph g = test::walled_grid(40, 30, 0.3, 13);
   ASSERT_GT(test::count_isolated(g), 0);
   for (const vid_t root : sample_roots(g, 3, 77)) expect_bit_equal(g, root);
 }
 
 TEST_P(CompressedTraversal, PureDirectionsMatchSerialOracle) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const CsrGraph g = rmat(12);
   const CompressedCsrView view(g);
   const vid_t root = sample_roots(g, 1, 11)[0];

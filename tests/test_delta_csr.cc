@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -20,10 +18,12 @@
 #include "bfs/drivers.h"
 #include "bfs/msbfs.h"
 #include "bfs/validate.h"
+#include "core/hybrid_policy.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
+#include "thread_count.h"
 
 namespace bfsx::graph {
 namespace {
@@ -327,7 +327,7 @@ void expect_bit_equal_traversals(const DeltaCsr& d, const CsrGraph& flat) {
 class DeltaTraversal : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeltaTraversal, BitEqualOnRmatWithInsertsAndRemoves) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const auto base = rmat10_base();
   PairSet oracle = undirected_pairs(*base);
   // A batch with inserts, a vertex-growing insert, and removals — the
@@ -344,7 +344,7 @@ TEST_P(DeltaTraversal, BitEqualOnRmatWithInsertsAndRemoves) {
 }
 
 TEST_P(DeltaTraversal, BitEqualOnGridAcrossChainedBatches) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const auto base =
       std::make_shared<const CsrGraph>(build_csr(make_grid(24, 24)));
   PairSet oracle = undirected_pairs(*base);
@@ -368,7 +368,7 @@ TEST_P(DeltaTraversal, BitEqualOnGridAcrossChainedBatches) {
 }
 
 TEST_P(DeltaTraversal, MsBfsOverDeltaMatchesFlatRebuild) {
-  omp_set_num_threads(GetParam());
+  test::set_threads(GetParam());
   const auto base = rmat10_base();
   PairSet oracle = undirected_pairs(*base);
   const std::vector<Edge> inserts = {{2, 512}, {300, 301}};
@@ -382,8 +382,10 @@ TEST_P(DeltaTraversal, MsBfsOverDeltaMatchesFlatRebuild) {
   const CsrGraph flat = rebuild_from_oracle(oracle, d.num_vertices());
 
   const std::vector<vid_t> roots = sample_roots(flat, 8, 44);
-  const bfs::MsBfsResult over_delta = bfs::ms_bfs(d, roots);
-  const bfs::MsBfsResult over_flat = bfs::ms_bfs(CsrGraphView(flat), roots);
+  const core::HybridPolicy policy;
+  const bfs::MsBfsResult over_delta = bfs::ms_bfs(d, roots, policy);
+  const bfs::MsBfsResult over_flat =
+      bfs::ms_bfs(CsrGraphView(flat), roots, policy);
   ASSERT_EQ(over_delta.per_root.size(), over_flat.per_root.size());
   for (std::size_t i = 0; i < roots.size(); ++i) {
     EXPECT_EQ(over_delta.per_root[i].level, over_flat.per_root[i].level)

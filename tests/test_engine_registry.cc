@@ -167,17 +167,19 @@ TEST(EngineRegistry, CrossEngineLevelCountersAgree) {
   }
 }
 
-/// Every single-source engine — simulated, reference, cross-
-/// architecture, distributed or wall-clock — runs the one level loop
-/// (bfs/traverse.h), so each must return the same tree: the reference
-/// levels, one parent map and one component size, on symmetric and
-/// directed graphs, at any team width. Each run_end must also agree
-/// with the run's own level events on depth and direction switches.
+/// Every engine — simulated, reference, cross-architecture,
+/// distributed, wall-clock or MS-BFS (here a batch of one) — runs the
+/// one level loop (bfs/traverse.h) under one parent rule, so each must
+/// return the same tree: the reference levels, one parent map and one
+/// component size, on symmetric and directed graphs, at any team width.
+/// Each run_end must also agree with the run's own level events on
+/// depth and direction switches.
 TEST(EngineRegistry, EverySingleSourceEngineReturnsTheSameTree) {
   const EngineRegistry registry = EngineRegistry::with_builtin_engines();
   const std::vector<std::string> engines = {
-      "td",   "bu",        "ref",       "hybrid",       "cross",
-      "dist", "native-td", "native-bu", "native-hybrid"};
+      "td",        "bu",        "ref",           "hybrid", "cross",
+      "dist",      "native-td", "native-bu",     "native-hybrid",
+      "msbfs"};
   graph::RmatParams p;
   p.scale = 12;
   p.seed = 3;

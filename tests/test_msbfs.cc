@@ -19,7 +19,9 @@
 #include "bfs/state_pool.h"
 #include "bfs/topdown.h"
 #include "bfs/validate.h"
+#include "core/hybrid_policy.h"
 #include "core/level_trace.h"
+#include "core/traversal.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
@@ -42,6 +44,63 @@ CsrGraph rmat(int scale, int edgefactor = 16, std::uint64_t seed = 7) {
   return build_csr(graph::generate_rmat(p));
 }
 
+/// The paper's M/N rule at its default knobs, 14/24.
+const core::HybridPolicy kMN{};
+
+/// Per-level work counters of one traversal — what LevelTrace records
+/// for a single-source run — counted from a tree lane's level map:
+/// |V|cq and |E|cq per level, each level's discoveries the next
+/// level's frontier.
+struct LaneLevel {
+  std::int32_t level = 0;
+  vid_t frontier_vertices = 0;
+  graph::eid_t frontier_edges = 0;
+  vid_t next_vertices = 0;
+
+  friend bool operator==(const LaneLevel&, const LaneLevel&) = default;
+};
+
+std::vector<LaneLevel> lane_levels(const CsrGraph& g, const BfsResult& lane) {
+  std::vector<LaneLevel> log;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    const std::int32_t lv = lane.level[static_cast<std::size_t>(v)];
+    if (lv < 0) continue;
+    const auto k = static_cast<std::size_t>(lv);
+    if (k >= log.size()) log.resize(k + 1);
+    log[k].frontier_vertices += 1;
+    log[k].frontier_edges += g.out_degree(v);
+  }
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    log[k].level = static_cast<std::int32_t>(k);
+    if (k + 1 < log.size()) {
+      log[k].next_vertices = log[k + 1].frontier_vertices;
+    }
+  }
+  return log;
+}
+
+/// One pass whose levels are timed and booked as the msbfs engine books
+/// them: `levels` receives one level event per union level.
+template <typename G, typename Lanes, typename Policy>
+MsBfsResult traced_ms_bfs(const G& g, const Lanes& lanes,
+                          const Policy& policy,
+                          std::vector<obs::LevelEvent>& levels) {
+  core::LevelLedger ledger{nullptr, &levels};
+  return ms_bfs(g, lanes, policy,
+                [&ledger](const auto& view, MsState& s, const Frontier& f,
+                          Decision d) {
+                  ledger.book(f, d, core::WallClock{}(view, s, f, d));
+                });
+}
+
+int direction_switches(const std::vector<obs::LevelEvent>& levels) {
+  int switches = 0;
+  for (std::size_t k = 1; k < levels.size(); ++k) {
+    switches += levels[k].direction != levels[k - 1].direction ? 1 : 0;
+  }
+  return switches;
+}
+
 /// Checks one lane against the serial oracle: exact levels, exact
 /// totals, and a structurally valid parent tree.
 void expect_lane_matches_reference(const CsrGraph& g, vid_t root,
@@ -59,9 +118,8 @@ TEST(MsBfs, FullBatchMatchesReferenceOnRmat) {
   const CsrGraph g = rmat(12);
   const std::vector<vid_t> roots =
       graph::sample_roots(g, kMsBfsMaxLanes, 500);
-  const MsBfsResult ms = ms_bfs(g, roots);
+  const MsBfsResult ms = ms_bfs(g, roots, kMN);
   ASSERT_EQ(ms.per_root.size(), roots.size());
-  ASSERT_EQ(ms.lane_levels.size(), roots.size());
   for (std::size_t i = 0; i < roots.size(); ++i) {
     expect_lane_matches_reference(g, roots[i], ms.per_root[i]);
   }
@@ -74,13 +132,13 @@ TEST(MsBfs, Scale16CountersMatchLevelTrace) {
   const CsrGraph g = rmat(16);
   const std::vector<vid_t> roots =
       graph::sample_roots(g, kMsBfsMaxLanes, 500);
-  const MsBfsResult ms = ms_bfs(g, roots);
-  ASSERT_EQ(ms.lane_levels.size(), roots.size());
+  const MsBfsResult ms = ms_bfs(g, roots, kMN);
+  ASSERT_EQ(ms.per_root.size(), roots.size());
   for (std::size_t i = 0; i < roots.size(); ++i) {
     const BfsResult ref = graph500::reference_bfs(g, roots[i]);
     ASSERT_EQ(ms.per_root[i].level, ref.level) << "root " << roots[i];
     const core::LevelTrace trace = core::build_level_trace(g, roots[i]);
-    const std::vector<MsLaneLevel>& lane = ms.lane_levels[i];
+    const std::vector<LaneLevel> lane = lane_levels(g, ms.per_root[i]);
     ASSERT_EQ(lane.size(), trace.levels.size()) << "root " << roots[i];
     for (std::size_t k = 0; k < lane.size(); ++k) {
       EXPECT_EQ(lane[k].level, trace.levels[k].level);
@@ -101,19 +159,18 @@ TEST(MsBfs, DirectedGraphMatchesReference) {
   const CsrGraph g = build_directed_csr(EdgeList(el));
   ASSERT_FALSE(g.is_symmetric());
   const std::vector<vid_t> roots = graph::sample_roots(g, 17, 23);
-  for (const MsBfsOptions::Mode mode :
-       {MsBfsOptions::Mode::kAuto, MsBfsOptions::Mode::kTopDown,
-        MsBfsOptions::Mode::kBottomUp}) {
-    MsBfsOptions opts;
-    opts.mode = mode;
-    const MsBfsResult ms = ms_bfs(g, roots, opts);
+  const auto check = [&g, &roots](const auto& policy, const char* name) {
+    const MsBfsResult ms = ms_bfs(g, roots, policy);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const BfsResult ref = graph500::reference_bfs(g, roots[i]);
       EXPECT_EQ(ms.per_root[i].level, ref.level)
-          << "mode " << static_cast<int>(mode) << " root " << roots[i];
+          << name << " root " << roots[i];
       EXPECT_EQ(ms.per_root[i].edges_in_component, ref.edges_in_component);
     }
-  }
+  };
+  check(kMN, "M/N");
+  check(ForcedPolicy{Direction::kTopDown}, "top-down");
+  check(ForcedPolicy{Direction::kBottomUp}, "bottom-up");
 }
 
 TEST(MsBfs, SmallAndDuplicateBatches) {
@@ -125,7 +182,7 @@ TEST(MsBfs, SmallAndDuplicateBatches) {
       {5, 5, 5},
       {0, 9, 0, 31, 9, 2, 77, 0, 5, 5, 12, 200, 31}};
   for (const std::vector<vid_t>& roots : batches) {
-    const MsBfsResult ms = ms_bfs(g, roots);
+    const MsBfsResult ms = ms_bfs(g, roots, kMN);
     ASSERT_EQ(ms.per_root.size(), roots.size());
     for (std::size_t i = 0; i < roots.size(); ++i) {
       expect_lane_matches_reference(g, roots[i], ms.per_root[i]);
@@ -133,11 +190,9 @@ TEST(MsBfs, SmallAndDuplicateBatches) {
       for (std::size_t j = 0; j < i; ++j) {
         if (roots[j] != roots[i]) continue;
         EXPECT_EQ(ms.per_root[i].level, ms.per_root[j].level);
-        ASSERT_EQ(ms.lane_levels[i].size(), ms.lane_levels[j].size());
-        for (std::size_t k = 0; k < ms.lane_levels[i].size(); ++k) {
-          EXPECT_EQ(ms.lane_levels[i][k].frontier_edges,
-                    ms.lane_levels[j][k].frontier_edges);
-        }
+        EXPECT_EQ(ms.per_root[i].parent, ms.per_root[j].parent);
+        EXPECT_TRUE(lane_levels(g, ms.per_root[i]) ==
+                    lane_levels(g, ms.per_root[j]));
       }
     }
   }
@@ -146,42 +201,48 @@ TEST(MsBfs, SmallAndDuplicateBatches) {
 TEST(MsBfs, ForcedDirectionsAgreeWithAuto) {
   const CsrGraph g = rmat(11, 16, 21);
   const std::vector<vid_t> roots = graph::sample_roots(g, 32, 9);
-  MsBfsOptions td, bu;
-  td.mode = MsBfsOptions::Mode::kTopDown;
-  bu.mode = MsBfsOptions::Mode::kBottomUp;
-  const MsBfsResult auto_run = ms_bfs(g, roots);
-  const MsBfsResult td_run = ms_bfs(g, roots, td);
-  const MsBfsResult bu_run = ms_bfs(g, roots, bu);
-  EXPECT_GT(auto_run.direction_switches, 0);  // scale 11 should flip
+  std::vector<obs::LevelEvent> auto_levels;
+  const MsBfsResult auto_run = traced_ms_bfs(g, roots, kMN, auto_levels);
+  const MsBfsResult td_run =
+      ms_bfs(g, roots, ForcedPolicy{Direction::kTopDown});
+  const MsBfsResult bu_run =
+      ms_bfs(g, roots, ForcedPolicy{Direction::kBottomUp});
+  EXPECT_GT(direction_switches(auto_levels), 0);  // scale 11 should flip
   for (std::size_t i = 0; i < roots.size(); ++i) {
     EXPECT_EQ(td_run.per_root[i].level, auto_run.per_root[i].level);
     EXPECT_EQ(bu_run.per_root[i].level, auto_run.per_root[i].level);
     // Counters are direction-independent (they describe level sets).
-    ASSERT_EQ(td_run.lane_levels[i].size(), auto_run.lane_levels[i].size());
-    ASSERT_EQ(bu_run.lane_levels[i].size(), auto_run.lane_levels[i].size());
-    for (std::size_t k = 0; k < auto_run.lane_levels[i].size(); ++k) {
-      EXPECT_EQ(td_run.lane_levels[i][k].frontier_edges,
-                auto_run.lane_levels[i][k].frontier_edges);
-      EXPECT_EQ(bu_run.lane_levels[i][k].frontier_vertices,
-                auto_run.lane_levels[i][k].frontier_vertices);
-    }
+    const std::vector<LaneLevel> want = lane_levels(g, auto_run.per_root[i]);
+    EXPECT_TRUE(lane_levels(g, td_run.per_root[i]) == want);
+    EXPECT_TRUE(lane_levels(g, bu_run.per_root[i]) == want);
+    // Parents follow one rule in either direction.
+    EXPECT_EQ(td_run.per_root[i].parent, auto_run.per_root[i].parent);
+    EXPECT_EQ(bu_run.per_root[i].parent, auto_run.per_root[i].parent);
   }
 }
 
 TEST(MsBfs, UnionLevelsAreConsistent) {
   const CsrGraph g = rmat(12);
   const std::vector<vid_t> roots = graph::sample_roots(g, 48, 11);
-  const MsBfsResult ms = ms_bfs(g, roots);
-  ASSERT_EQ(ms.depth, static_cast<std::int32_t>(ms.levels.size()));
-  for (std::size_t k = 0; k < ms.levels.size(); ++k) {
-    const MsUnionLevel& u = ms.levels[k];
+  std::vector<obs::LevelEvent> levels;
+  const MsBfsResult ms = traced_ms_bfs(g, roots, kMN, levels);
+  std::vector<std::vector<LaneLevel>> lanes;
+  std::size_t deepest = 0;
+  for (const BfsResult& r : ms.per_root) {
+    lanes.push_back(lane_levels(g, r));
+    deepest = std::max(deepest, lanes.back().size());
+  }
+  // The union runs as many levels as its deepest lane.
+  ASSERT_EQ(levels.size(), deepest);
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    const obs::LevelEvent& u = levels[k];
     EXPECT_EQ(u.level, static_cast<std::int32_t>(k));
     EXPECT_GT(u.frontier_vertices, 0);
     // The union frontier is at most the sum of the lane frontiers and
     // at least the largest lane frontier.
     graph::vid_t max_lane = 0;
     std::int64_t sum_lane = 0;
-    for (const std::vector<MsLaneLevel>& lane : ms.lane_levels) {
+    for (const std::vector<LaneLevel>& lane : lanes) {
       if (k < lane.size()) {
         max_lane = std::max(max_lane, lane[k].frontier_vertices);
         sum_lane += lane[k].frontier_vertices;
@@ -197,35 +258,38 @@ TEST(MsBfs, ThreadCountInvariance) {
   const CsrGraph g = rmat(12, 16, 5);
   const std::vector<vid_t> roots = graph::sample_roots(g, 40, 77);
   const int saved = omp_get_max_threads();
+  std::vector<obs::LevelEvent> one_levels;
+  std::vector<obs::LevelEvent> four_levels;
   omp_set_num_threads(1);
-  const MsBfsResult one = ms_bfs(g, roots);
+  const MsBfsResult one = traced_ms_bfs(g, roots, kMN, one_levels);
   omp_set_num_threads(4);
-  const MsBfsResult four = ms_bfs(g, roots);
+  const MsBfsResult four = traced_ms_bfs(g, roots, kMN, four_levels);
   omp_set_num_threads(saved);
   ASSERT_EQ(one.per_root.size(), four.per_root.size());
-  EXPECT_EQ(one.depth, four.depth);
-  EXPECT_EQ(one.direction_switches, four.direction_switches);
+  ASSERT_EQ(one_levels.size(), four_levels.size());
+  EXPECT_EQ(direction_switches(one_levels), direction_switches(four_levels));
   for (std::size_t i = 0; i < roots.size(); ++i) {
     EXPECT_EQ(one.per_root[i].level, four.per_root[i].level);
     EXPECT_EQ(one.per_root[i].reached, four.per_root[i].reached);
     EXPECT_EQ(one.per_root[i].edges_in_component,
               four.per_root[i].edges_in_component);
   }
-  for (std::size_t k = 0; k < one.levels.size(); ++k) {
-    EXPECT_EQ(one.levels[k].direction, four.levels[k].direction);
-    EXPECT_EQ(one.levels[k].frontier_edges, four.levels[k].frontier_edges);
+  for (std::size_t k = 0; k < one_levels.size(); ++k) {
+    EXPECT_EQ(one_levels[k].direction, four_levels[k].direction);
+    EXPECT_EQ(one_levels[k].frontier_edges, four_levels[k].frontier_edges);
   }
 }
 #endif  // _OPENMP
 
 TEST(MsBfs, RejectsBadBatches) {
   const CsrGraph g = build_csr(graph::make_path(8));
-  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{}), std::invalid_argument);
-  const std::vector<vid_t> oversized(kMsBfsMaxLanes + 1, 0);
-  EXPECT_THROW((void)ms_bfs(g, oversized), std::invalid_argument);
-  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{-1}),
+  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{}, kMN),
                std::invalid_argument);
-  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{8}),
+  const std::vector<vid_t> oversized(kMsBfsMaxLanes + 1, 0);
+  EXPECT_THROW((void)ms_bfs(g, oversized, kMN), std::invalid_argument);
+  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{-1}, kMN),
+               std::invalid_argument);
+  EXPECT_THROW((void)ms_bfs(g, std::vector<vid_t>{8}, kMN),
                std::invalid_argument);
 }
 
@@ -280,27 +344,22 @@ TEST(MsBfsRequest, TreeAndRowLanesMatchReferenceOnRmat) {
   }
 
   at_1_and_4_threads([&] {
-    const MsBfsResult trees = ms_bfs(g, roots);
-    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
+    const MsBfsResult trees = ms_bfs(g, roots, kMN);
+    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req, kMN);
     for (std::size_t l = 0; l < roots.size(); ++l) {
       SCOPED_TRACE(testing::Message() << "lane " << l << " root " << roots[l]);
       if (l % 2 == 0) {
         EXPECT_EQ(rows[l], graph500::reference_bfs(g, roots[l]).level);
         EXPECT_TRUE(ms.per_root[l].level.empty());
-        EXPECT_TRUE(ms.lane_levels[l].empty());
+        EXPECT_TRUE(ms.per_root[l].parent.empty());
         continue;
       }
       expect_lane_matches_reference(g, roots[l], ms.per_root[l]);
-      // A tree lane's counters do not depend on what the other lanes
-      // record.
-      ASSERT_EQ(ms.lane_levels[l].size(), trees.lane_levels[l].size());
-      for (std::size_t k = 0; k < ms.lane_levels[l].size(); ++k) {
-        const MsLaneLevel& got = ms.lane_levels[l][k];
-        const MsLaneLevel& want = trees.lane_levels[l][k];
-        EXPECT_EQ(got.frontier_vertices, want.frontier_vertices) << k;
-        EXPECT_EQ(got.frontier_edges, want.frontier_edges) << k;
-        EXPECT_EQ(got.next_vertices, want.next_vertices) << k;
-      }
+      // A tree lane's tree, and so its counters, do not depend on what
+      // the other lanes record.
+      EXPECT_EQ(ms.per_root[l].parent, trees.per_root[l].parent);
+      EXPECT_TRUE(lane_levels(g, ms.per_root[l]) ==
+                  lane_levels(g, trees.per_root[l]));
     }
   });
 }
@@ -328,8 +387,9 @@ TEST(MsBfsRequest, HubRootedRowsMatchAtEveryTeamSize) {
     for (std::size_t l = 0; l < hubs.size(); ++l) {
       req.lanes.push_back(row_lane(hubs[l], out.rows[l]));
     }
-    const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
-    for (const MsUnionLevel& k : ms.levels) {
+    std::vector<obs::LevelEvent> levels;
+    (void)traced_ms_bfs(graph::CsrGraphView(g), req, kMN, levels);
+    for (const obs::LevelEvent& k : levels) {
       out.levels.push_back({k.level, static_cast<graph::eid_t>(k.direction),
                             k.frontier_vertices, k.frontier_edges,
                             k.next_vertices});
@@ -363,27 +423,34 @@ TEST(MsBfsRequest, IsolatedRootReachesOnlyItself) {
   ASSERT_NE(isolated, kNoVertex);
   MsBfsRequest req;
   req.lanes = {{.root = isolated, .record = MsLane::Record::kTree, .row = {}}};
-  const MsBfsResult ms = ms_bfs(graph::CsrGraphView(g), req);
+  std::vector<obs::LevelEvent> levels;
+  const MsBfsResult ms =
+      traced_ms_bfs(graph::CsrGraphView(g), req, kMN, levels);
   EXPECT_EQ(ms.per_root[0].reached, 1);
   EXPECT_EQ(ms.per_root[0].edges_in_component, 0);
   EXPECT_EQ(ms.per_root[0].level, graph500::reference_bfs(g, isolated).level);
-  ASSERT_EQ(ms.lane_levels[0].size(), 1u);
-  EXPECT_EQ(ms.lane_levels[0][0].frontier_vertices, 1);
-  EXPECT_EQ(ms.depth, 1);  // level 0 expands nothing and the lane is done
+  const std::vector<LaneLevel> lane = lane_levels(g, ms.per_root[0]);
+  ASSERT_EQ(lane.size(), 1u);
+  EXPECT_EQ(lane[0].frontier_vertices, 1);
+  // Level 0 expands nothing and the lane is done.
+  ASSERT_EQ(levels.size(), 1u);
+  EXPECT_EQ(levels[0].frontier_vertices, 1);
+  EXPECT_EQ(levels[0].next_vertices, 0);
 }
 
 TEST(MsBfsRequest, LevelTimesAreMeasured) {
   const CsrGraph g = rmat(12);
   const std::vector<vid_t> roots = graph::sample_roots(g, 16, 3);
+  std::vector<obs::LevelEvent> levels;
   const auto start = std::chrono::steady_clock::now();
-  const MsBfsResult ms = ms_bfs(g, roots);
+  (void)traced_ms_bfs(g, roots, kMN, levels);
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   double sum = 0.0;
-  for (const MsUnionLevel& lvl : ms.levels) {
-    EXPECT_GE(lvl.seconds, 0.0);
-    sum += lvl.seconds;
+  for (const obs::LevelEvent& lvl : levels) {
+    EXPECT_GE(lvl.compute_seconds, 0.0);
+    sum += lvl.compute_seconds;
   }
   EXPECT_GT(sum, 0.0);
   EXPECT_LE(sum, wall);
@@ -395,7 +462,7 @@ TEST(MsBfsRequest, RejectsBadRequests) {
   std::vector<std::int32_t> short_row(7);
   MsBfsRequest req;
   req.lanes = {row_lane(0, short_row)};
-  EXPECT_THROW((void)ms_bfs(v, req), std::invalid_argument);
+  EXPECT_THROW((void)ms_bfs(v, req, kMN), std::invalid_argument);
 }
 
 // --- StatePool -----------------------------------------------------------

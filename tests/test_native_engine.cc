@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,6 +13,7 @@
 #include "graph/graph_stats.h"
 #include "graph/rmat.h"
 #include "graph500/engine_registry.h"
+#include "thread_count.h"
 
 namespace bfsx::graph500 {
 namespace {
@@ -69,7 +68,7 @@ graph::CsrGraph rmat14(std::uint64_t seed, bool symmetric) {
 
 TEST(NativeEngine, CompressedConfigMatchesCsrThroughTheRegistry) {
   const EngineRegistry registry = EngineRegistry::with_builtin_engines();
-  const int saved_threads = omp_get_max_threads();
+  const test::ThreadCountGuard guard;
   for (const bool symmetric : {true, false}) {
     const graph::CsrGraph g = rmat14(2014, symmetric);
     ASSERT_EQ(g.is_symmetric(), symmetric);
@@ -90,7 +89,7 @@ TEST(NativeEngine, CompressedConfigMatchesCsrThroughTheRegistry) {
       const BfsEngine flat = registry.make_engine(name, flat_cfg);
       const BfsEngine packed = registry.make_engine(name, compressed_cfg);
       for (const int threads : {1, 4}) {
-        omp_set_num_threads(threads);
+        test::set_threads(threads);
         for (const graph::vid_t root : roots) {
           SCOPED_TRACE(name + (symmetric ? " symmetric" : " directed") +
                        ", " + std::to_string(threads) + " threads, root " +
@@ -111,7 +110,6 @@ TEST(NativeEngine, CompressedConfigMatchesCsrThroughTheRegistry) {
           << name;
     }
   }
-  omp_set_num_threads(saved_threads);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // Tests for vertex reordering and the Beamer alpha/beta policy.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 #include <utility>
 #include <vector>
@@ -16,6 +14,7 @@
 #include "graph/graph_stats.h"
 #include "graph/reorder.h"
 #include "graph/rmat.h"
+#include "thread_count.h"
 
 namespace bfsx {
 namespace {
@@ -25,6 +24,7 @@ using graph::CsrGraph;
 using graph::EdgeList;
 using graph::Permutation;
 using graph::vid_t;
+using test::ThreadCountGuard;
 
 EdgeList rmat_edges() {
   graph::RmatParams p;
@@ -64,18 +64,6 @@ EdgeList rmat_with_loops() {
   return el;
 }
 
-/// Restores the OpenMP team width a test changes.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-};
-
 // New ids run by descending endpoint count, ties to the smaller old id,
 // so the vertices without a non-self-loop edge are exactly the tail.
 // Deduplicated degree is only nearly descending, so it is not checked.
@@ -107,10 +95,10 @@ TEST(Reorder, DegreeOrderSortsByEndpointCountWithIsolatedTail) {
 TEST(Reorder, DegreeOrderIsIdenticalAtEveryThreadCount) {
   const ThreadCountGuard guard;
   const EdgeList el = rmat_with_loops();
-  omp_set_num_threads(1);
+  test::set_threads(1);
   const Permutation serial = graph::degree_order(el);
   for (const int threads : {2, 3, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     EXPECT_EQ(graph::degree_order(el), serial) << threads << " threads";
   }
 }

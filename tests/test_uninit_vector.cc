@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -13,20 +11,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "thread_count.h"
+
 namespace bfsx::graph {
 namespace {
 
-/// Restores the OpenMP team width a test changes.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(omp_get_max_threads()) {}
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-};
+using test::ThreadCountGuard;
 
 template <typename Range, typename T>
 std::size_t count_of(const Range& r, std::size_t lo, std::size_t hi,
@@ -47,7 +37,7 @@ TEST(ParallelFill, WritesEveryElementAtAnyTeamWidth) {
                                kParallelFillThreshold,
                                3 * kParallelFillThreshold + 7};
   for (const int threads : {1, 2, 3, 4}) {
-    omp_set_num_threads(threads);
+    test::set_threads(threads);
     for (const std::size_t n : sizes) {
       SCOPED_TRACE(std::to_string(threads) + " threads, n = " +
                    std::to_string(n));
@@ -61,11 +51,12 @@ TEST(ParallelFill, WritesEveryElementAtAnyTeamWidth) {
   }
 }
 
+#ifdef _OPENMP
 TEST(ParallelFill, InsideAParallelRegionFillsEverything) {
   // A nested team has one thread, so chunking by thread id there would
   // write only the first chunk; the call must fall back to a serial fill.
   ThreadCountGuard guard;
-  omp_set_num_threads(4);
+  test::set_threads(4);
   const std::size_t n = 2 * kParallelFillThreshold + 3;
   std::vector<std::vector<std::uint64_t>> per_thread(
       4, std::vector<std::uint64_t>(n, 0));
@@ -83,6 +74,7 @@ TEST(ParallelFill, InsideAParallelRegionFillsEverything) {
         << "thread " << t;
   }
 }
+#endif  // _OPENMP
 
 TEST(UninitVector, ExplicitValuesStillInitialise) {
   UninitVector<std::int64_t> v(1000, 7);
