@@ -2,11 +2,12 @@
 // traverse separately across OpenMP thread counts.
 //
 // The traversal kernels were the hot path in the paper's experiments,
-// but at Graph 500 scales a *serial* kernel-1 pipeline (R-MAT draws,
-// endpoint validation, counting-sort CSR construction) dominates
+// but at Graph 500 scales kernel 1 (R-MAT draws, endpoint validation,
+// and a CSR build by scatter, transpose and dedup) is a large share of
 // end-to-end wall time. This bench tracks how every stage scales with
 // cores and doubles as a runtime determinism check: the edge list and
-// the CSR arrays must hash identically for every thread count.
+// the CSR arrays must hash identically for every thread count, and each
+// row prints both hashes.
 //
 // Emits BENCH_build.json (schema bfsx.bench.v1).
 #include <chrono>
@@ -107,9 +108,10 @@ StageTimes run_at(int threads, const bfsx::graph::RmatParams& params) {
   st.traverse_perf = counters.stop();
   std::printf(
       "  threads=%d  generate %.3fs  validate %.3fs  build %.3fs  "
-      "traverse %.3fs  (reached %d vertices)\n",
+      "traverse %.3fs  (reached %d vertices)  edges %016llx  csr %016llx\n",
       threads, st.generate, st.validate, st.build, st.traverse,
-      timed.result.reached);
+      timed.result.reached, static_cast<unsigned long long>(st.edge_hash),
+      static_cast<unsigned long long>(st.csr_hash));
   return st;
 }
 

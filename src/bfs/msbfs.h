@@ -165,8 +165,10 @@ MsCarry ms_top_down_step(const V& g, MsState& s, std::int32_t next_level) {
   const eid_t* const offsets = s.offsets.data();
   eid_t next_edges = 0;
   std::uint64_t next_lanes = 0;
+#ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1) if (pieces > 1) \
     reduction(+ : next_edges) reduction(| : next_lanes)
+#endif
   for (std::int64_t p = 0; p < pieces; ++p) {
     expand_piece(g, active, offsets, p, [&](std::size_t i, vid_t w) {
       const auto wi = static_cast<std::size_t>(w);
@@ -216,8 +218,10 @@ MsCarry ms_bottom_up_step(const V& g, std::span<const vid_t> candidates,
   const auto count = static_cast<std::int64_t>(candidates.size());
   eid_t next_edges = 0;
   std::uint64_t next_lanes = 0;
+#ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1024) \
     reduction(+ : next_edges) reduction(| : next_lanes)
+#endif
   for (std::int64_t i = 0; i < count; ++i) {
     const vid_t w = candidates[static_cast<std::size_t>(i)];
     const auto wi = static_cast<std::size_t>(w);
@@ -255,7 +259,9 @@ MsCarry ms_bottom_up_step(const V& g, std::span<const vid_t> candidates,
 template <graph::TransposeView V>
 void ms_adopt_parents(const V& g, MsState& s) {
   const auto count = static_cast<std::int64_t>(s.next.size());
+#ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1024) if (count > 1024)
+#endif
   for (std::int64_t i = 0; i < count; ++i) {
     const vid_t w = s.next[static_cast<std::size_t>(i)];
     const auto wi = static_cast<std::size_t>(w);
@@ -317,7 +323,9 @@ LevelStats step_level(const V& g, MsState& s, const Frontier& f,
   // so clearing them there re-arms `visit_next` without a full fill.
   s.visit.swap(s.visit_next);
   const auto count = static_cast<std::int64_t>(s.active.size());
+#ifdef _OPENMP
 #pragma omp parallel for schedule(static)
+#endif
   for (std::int64_t i = 0; i < count; ++i) {
     const vid_t v = s.active[static_cast<std::size_t>(i)];
     s.visit_next[static_cast<std::size_t>(v)] = 0;
@@ -385,7 +393,9 @@ template <graph::HybridView V, typename Policy, typename Clock = StepClock>
 
   // Lane maps are the bulk of a pass's memory traffic (8 bytes per
   // vertex per tree lane), so lanes set them up in parallel.
+#ifdef _OPENMP
 #pragma omp parallel for schedule(static)
+#endif
   for (int l = 0; l < lanes; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const MsLane& lane = request.lanes[li];
@@ -424,7 +434,9 @@ template <graph::HybridView V, typename Policy, typename Clock = StepClock>
   traverse(g, s, policy, level_clock);
 
   // Tree lanes' totals, counted from their level maps.
+#ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1)
+#endif
   for (int l = 0; l < lanes; ++l) {
     const auto li = static_cast<std::size_t>(l);
     if (request.lanes[li].record != Record::kTree) continue;

@@ -114,9 +114,11 @@ TrainingData generate_training_data(const TrainerConfig& cfg) {
   // kernels it calls parallelise internally, but nested regions
   // serialise under an active outer team, so the per-graph results —
   // deterministic by design at any thread count — are unchanged.
+#ifdef _OPENMP
   // omp-lint: allow(shared-write) per_graph slots are disjoint per
   //           iteration (indexed by the loop variable)
 #pragma omp parallel for schedule(dynamic, 1)
+#endif
   for (std::int64_t gi = 0; gi < num_graphs; ++gi) {
     per_graph[static_cast<std::size_t>(gi)] =
         label_graph(cfg.graphs[static_cast<std::size_t>(gi)], cfg);

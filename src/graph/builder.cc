@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -15,28 +16,40 @@
 namespace bfsx::graph {
 namespace {
 
-/// Below this many edges the parallel machinery (per-thread histograms,
-/// chunk prefix sums) costs more than it saves; fall back to one worker.
+/// Below this many entries the parallel machinery (per-worker
+/// histograms and their merge) costs more than it saves; fall back to
+/// one worker.
 constexpr std::size_t kParallelEdgeThreshold = std::size_t{1} << 14;
 
-int worker_count(std::size_t edges) {
+int worker_count(std::size_t entries) {
 #ifdef _OPENMP
-  if (edges < kParallelEdgeThreshold) return 1;
-  // The fan-out below chunks work by thread id and assumes the team
-  // really has `workers` threads. Inside an enclosing parallel region
-  // a nested team gets 1 thread (nesting is off), so chunks past the
-  // first would be silently skipped — run serial there instead.
+  if (entries < kParallelEdgeThreshold) return 1;
+  // Inside an enclosing parallel region a nested team gets 1 thread
+  // (nesting is off), which would run every worker's share in turn and
+  // pay for all their histograms: run serial there instead.
   if (omp_in_parallel()) return 1;
   return std::max(1, omp_get_max_threads());
 #else
-  (void)edges;
+  (void)entries;
   return 1;
 #endif
 }
 
-/// [begin, end) of worker t's contiguous chunk over `total` items. The
-/// chunk layout is only a work partition: every result below is placed
-/// by global item index, so output never depends on the worker count.
+/// Runs body(t) for every worker t in [0, workers) on one team; a team
+/// smaller than asked for runs the missing workers' shares in turn.
+template <typename Body>
+void fan_out(int workers, const Body& body) {
+#ifdef _OPENMP
+#pragma omp parallel num_threads(workers) if (workers > 1)
+  for (int t = omp_get_thread_num(); t < workers; t += omp_get_num_threads()) {
+    body(t);
+  }
+#else
+  for (int t = 0; t < workers; ++t) body(t);
+#endif
+}
+
+/// [begin, end) of worker t's contiguous chunk over `total` items.
 constexpr std::size_t chunk_begin(std::size_t total, int t, int workers) {
   return total * static_cast<std::size_t>(t) / static_cast<std::size_t>(workers);
 }
@@ -46,187 +59,157 @@ struct CsrArrays {
   VidArray targets;
 };
 
-/// Counting-sort the (src → dst) pairs into CSR arrays, then optionally
-/// sort/dedup each adjacency row. Parallel three-phase build: per-thread
-/// degree histograms over contiguous edge chunks, one merged prefix sum,
-/// then a blocked scatter where worker t starts each row at the count
-/// contributed by chunks 0..t-1 — edge i always lands at the position
-/// the serial loop would give it, so offsets and targets are
-/// bit-identical for every thread count.
-CsrArrays pack(vid_t n, const std::vector<Edge>& edges, bool by_src,
-               const BuildOptions& opts) {
-  const auto nu = static_cast<std::size_t>(n);
-  const std::size_t m = edges.size();
-  const Edge* e = edges.data();
-  const int workers = worker_count(m);
-
-  EidArray offsets(nu + 1, 0);
-  // Allocated unwritten (DefaultInitAllocator, graph/uninit_vector.h):
-  // the blocked scatter below performs the only write to every element.
-  VidArray targets(m);
-  // hist[t][v]: first the number of key-v edges in chunk t, then (after
-  // the merge) the number of key-v edges in chunks before t — worker
-  // t's starting cursor within row v.
-  std::vector<std::vector<eid_t>> hist(static_cast<std::size_t>(workers));
-
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-  {
-#ifdef _OPENMP
-    const int t = omp_get_thread_num();
-#else
-    const int t = 0;
-#endif
-    auto& mine = hist[static_cast<std::size_t>(t)];
-    mine.assign(nu, 0);
-    const std::size_t lo = chunk_begin(m, t, workers);
-    const std::size_t hi = chunk_begin(m, t + 1, workers);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const vid_t key = by_src ? e[i].src : e[i].dst;
-      ++mine[static_cast<std::size_t>(key)];
-    }
-  }
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(workers)
-#endif
-  for (std::size_t v = 0; v < nu; ++v) {
-    eid_t run = 0;
-    for (auto& h : hist) {
-      const eid_t mine = h[v];
-      h[v] = run;
-      run += mine;
-    }
-    offsets[v + 1] = run;
-  }
-  for (std::size_t v = 1; v <= nu; ++v) offsets[v] += offsets[v - 1];
-
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-  {
-#ifdef _OPENMP
-    const int t = omp_get_thread_num();
-#else
-    const int t = 0;
-#endif
-    auto& cursor = hist[static_cast<std::size_t>(t)];
-    const std::size_t lo = chunk_begin(m, t, workers);
-    const std::size_t hi = chunk_begin(m, t + 1, workers);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto key = static_cast<std::size_t>(by_src ? e[i].src : e[i].dst);
-      const vid_t val = by_src ? e[i].dst : e[i].src;
-      targets[static_cast<std::size_t>(offsets[key] + cursor[key]++)] = val;
-    }
-  }
-
-  if (opts.sort_neighbors || opts.deduplicate) {
-    EidArray new_offsets(nu + 1, 0);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 256) num_threads(workers)
-#endif
-    for (std::size_t v = 0; v < nu; ++v) {
-      auto* first = targets.data() + offsets[v];
-      auto* last = targets.data() + offsets[v + 1];
-      std::sort(first, last);
-      auto* end = opts.deduplicate ? std::unique(first, last) : last;
-      new_offsets[v + 1] = end - first;
-    }
-    for (std::size_t v = 1; v <= nu; ++v) new_offsets[v] += new_offsets[v - 1];
-    const auto total = static_cast<std::size_t>(new_offsets[nu]);
-    if (total != m) {
-      // Dedup removed something: compact rows into a fresh array (rows
-      // move left by varying amounts, so in-place compaction would
-      // serialise; a parallel copy into disjoint destinations does not).
-      // Unwritten until the parallel row copy below.
-      VidArray packed(total);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(workers)
-#endif
-      for (std::size_t v = 0; v < nu; ++v) {
-        const auto len =
-            static_cast<std::size_t>(new_offsets[v + 1] - new_offsets[v]);
-        std::copy_n(targets.data() + offsets[v], len,
-                    packed.data() + new_offsets[v]);
+/// Counting sort of (row, value) entries into CSR arrays, shared by the
+/// edge scatter and the transpose. `entries(t, emit)` calls emit(row,
+/// value) for every entry of worker t's share, in the same order both
+/// times it runs: once to count, once to place. The shares are
+/// consecutive pieces of one serial order, and worker t starts each row
+/// after the entries of workers 0..t-1, so the arrays are the serial
+/// loop's for every worker count.
+template <typename Entries>
+CsrArrays bucket(std::size_t rows, int workers, const Entries& entries) {
+  // cursor[t][r]: first the number of row-r entries in worker t's
+  // share, then (after the merge) where the first of them goes.
+  std::vector<std::vector<eid_t>> cursor(static_cast<std::size_t>(workers));
+  fan_out(workers, [&](int t) {
+    std::vector<eid_t>& count = cursor[static_cast<std::size_t>(t)];
+    count.assign(rows, 0);
+    entries(t, [&count](std::size_t row, vid_t) { ++count[row]; });
+  });
+  EidArray offsets(rows + 1);
+  offsets[0] = 0;
+  fan_out(workers, [&](int t) {
+    const std::size_t hi = chunk_begin(rows, t + 1, workers);
+    for (std::size_t r = chunk_begin(rows, t, workers); r < hi; ++r) {
+      eid_t run = 0;
+      for (std::vector<eid_t>& c : cursor) {
+        const eid_t mine = c[r];
+        c[r] = run;
+        run += mine;
       }
-      targets = std::move(packed);
+      offsets[r + 1] = run;
     }
-    offsets = std::move(new_offsets);
-  }
+  });
+  for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
+
+  // Allocated unwritten (DefaultInitAllocator, graph/uninit_vector.h):
+  // the placing pass performs the only write to every element.
+  VidArray targets(static_cast<std::size_t>(offsets[rows]));
+  fan_out(workers, [&](int t) {
+    std::vector<eid_t>& at = cursor[static_cast<std::size_t>(t)];
+    entries(t, [&](std::size_t row, vid_t value) {
+      targets[static_cast<std::size_t>(offsets[row] + at[row]++)] = value;
+    });
+  });
   return {std::move(offsets), std::move(targets)};
 }
 
-/// Order-preserving parallel filter dropping (v, v) edges: per-chunk
-/// survivor counts, a prefix sum over chunks, then a compacting copy
-/// into the exact slots the serial erase_if would produce.
-void remove_self_loops_parallel(std::vector<Edge>& edges) {
+/// Every kept edge (u, v) puts v into row u, and for a symmetric build
+/// u into row v; rows come out in edge-list order. The list, taken by
+/// value, is released by the end of the calling statement.
+CsrArrays scatter(vid_t n, std::vector<Edge> edges, bool symmetrize,
+                  bool remove_self_loops) {
+  const Edge* e = edges.data();
   const std::size_t m = edges.size();
   const int workers = worker_count(m);
-  if (workers == 1) {
-    std::erase_if(edges, [](const Edge& ed) { return ed.src == ed.dst; });
-    return;
-  }
-  std::vector<std::size_t> kept(static_cast<std::size_t>(workers) + 1, 0);
-  const Edge* e = edges.data();
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-  {
-#ifdef _OPENMP
-    const int t = omp_get_thread_num();
-#else
-    const int t = 0;
-#endif
-    const std::size_t lo = chunk_begin(m, t, workers);
+  return bucket(static_cast<std::size_t>(n), workers, [&](int t, auto&& emit) {
     const std::size_t hi = chunk_begin(m, t + 1, workers);
-    std::size_t count = 0;
-    for (std::size_t i = lo; i < hi; ++i) count += (e[i].src != e[i].dst);
-    kept[static_cast<std::size_t>(t) + 1] = count;
-  }
-  for (int t = 0; t < workers; ++t) {
-    kept[static_cast<std::size_t>(t) + 1] += kept[static_cast<std::size_t>(t)];
-  }
-  std::vector<Edge> out(kept[static_cast<std::size_t>(workers)]);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-#endif
-  {
-#ifdef _OPENMP
-    const int t = omp_get_thread_num();
-#else
-    const int t = 0;
-#endif
-    const std::size_t lo = chunk_begin(m, t, workers);
-    const std::size_t hi = chunk_begin(m, t + 1, workers);
-    std::size_t w = kept[static_cast<std::size_t>(t)];
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (e[i].src != e[i].dst) out[w++] = e[i];
+    for (std::size_t i = chunk_begin(m, t, workers); i < hi; ++i) {
+      const Edge ed = e[i];
+      if (remove_self_loops && ed.src == ed.dst) continue;
+      emit(static_cast<std::size_t>(ed.src), ed.dst);
+      if (symmetrize) emit(static_cast<std::size_t>(ed.dst), ed.src);
     }
-  }
-  edges = std::move(out);
+  });
 }
 
-std::vector<Edge> preprocess(EdgeList&& el, bool symmetrize,
-                             const BuildOptions& opts) {
-  std::vector<Edge> edges = std::move(el.edges);
-  if (opts.remove_self_loops) {
-    remove_self_loops_parallel(edges);
+/// Row boundaries that give each worker about the same number of
+/// entries; a row bigger than a share is one worker's whole range.
+std::vector<std::size_t> balanced_rows(const EidArray& offsets, int workers) {
+  const std::size_t n = offsets.size() - 1;
+  const auto total = static_cast<std::size_t>(offsets[n]);
+  std::vector<std::size_t> split(static_cast<std::size_t>(workers) + 1, n);
+  for (int t = 0; t < workers; ++t) {
+    const auto share = static_cast<eid_t>(chunk_begin(total, t, workers));
+    split[static_cast<std::size_t>(t)] = static_cast<std::size_t>(
+        std::lower_bound(offsets.begin(), offsets.end(), share) -
+        offsets.begin());
   }
-  if (symmetrize) {
-    const std::size_t orig = edges.size();
-    edges.resize(orig * 2);
-    Edge* e = edges.data();
-    const int workers = worker_count(orig);
-    // det: mirror i lands at orig + i for any schedule or worker count.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(workers)
-#endif
-    for (std::size_t i = 0; i < orig; ++i) {
-      e[orig + i] = {e[i].dst, e[i].src};
+  return split;
+}
+
+/// For x ascending, appends x to row y for every y in row x. Every row of
+/// the result is sorted, because x arrives in ascending order; a
+/// symmetric entry set is its own transpose.
+CsrArrays transpose(const CsrArrays& a) {
+  const std::size_t n = a.offsets.size() - 1;
+  const int workers = worker_count(a.targets.size());
+  const std::vector<std::size_t> split = balanced_rows(a.offsets, workers);
+  return bucket(n, workers, [&](int t, auto&& emit) {
+    const auto ti = static_cast<std::size_t>(t);
+    for (std::size_t x = split[ti]; x < split[ti + 1]; ++x) {
+      const auto hi = static_cast<std::size_t>(a.offsets[x + 1]);
+      for (auto j = static_cast<std::size_t>(a.offsets[x]); j < hi; ++j) {
+        emit(static_cast<std::size_t>(a.targets[j]), static_cast<vid_t>(x));
+      }
     }
+  });
+}
+
+/// Drops repeats from every sorted row, then packs the rows into a
+/// fresh array (rows move left by varying amounts, so an
+/// in-place compaction would serialise; a parallel copy into disjoint
+/// destinations does not).
+void dedup_rows(CsrArrays& a) {
+  const std::size_t n = a.offsets.size() - 1;
+  const int workers = worker_count(a.targets.size());
+  const std::vector<std::size_t> split = balanced_rows(a.offsets, workers);
+  EidArray kept(n + 1);
+  kept[0] = 0;
+  fan_out(workers, [&](int t) {
+    const auto ti = static_cast<std::size_t>(t);
+    for (std::size_t x = split[ti]; x < split[ti + 1]; ++x) {
+      vid_t* first = a.targets.data() + a.offsets[x];
+      vid_t* last = a.targets.data() + a.offsets[x + 1];
+      kept[x + 1] = std::unique(first, last) - first;
+    }
+  });
+  for (std::size_t x = 0; x < n; ++x) kept[x + 1] += kept[x];
+  if (kept[n] != a.offsets[n]) {
+    // Unwritten until the parallel row copy below.
+    VidArray packed(static_cast<std::size_t>(kept[n]));
+    fan_out(workers, [&](int t) {
+      const auto ti = static_cast<std::size_t>(t);
+      for (std::size_t x = split[ti]; x < split[ti + 1]; ++x) {
+        std::copy_n(a.targets.data() + a.offsets[x], kept[x + 1] - kept[x],
+                    packed.data() + kept[x]);
+      }
+    });
+    a.targets = std::move(packed);
   }
-  return edges;
+  a.offsets = std::move(kept);
+}
+
+/// Scatter, transpose, dedup: sorted, duplicate-free rows with no
+/// comparison sort. A directed build's transpose gives its in-rows, and
+/// a second transpose of the deduplicated in-rows gives the out-rows.
+CsrGraph build(EdgeList el, bool symmetrize, bool remove_self_loops) {
+  validate_edge_list(el);
+  CsrArrays scattered = scatter(el.num_vertices, std::move(el.edges),
+                                symmetrize, remove_self_loops);
+  CsrArrays in = transpose(scattered);
+  scattered = {};
+  dedup_rows(in);
+  if (symmetrize) {
+    CsrGraph g(std::move(in.offsets), std::move(in.targets));
+    BFSX_PARANOID(g.assert_invariants());
+    return g;
+  }
+  CsrArrays out = transpose(in);
+  CsrGraph g(std::move(out.offsets), std::move(out.targets),
+             std::move(in.offsets), std::move(in.targets));
+  BFSX_PARANOID(g.assert_invariants());
+  return g;
 }
 
 }  // namespace
@@ -263,37 +246,11 @@ void validate_edge_list(const EdgeList& el) {
 }
 
 CsrGraph build_csr(EdgeList el, const BuildOptions& opts) {
-  validate_edge_list(el);
-  const vid_t n = el.num_vertices;
-  std::vector<Edge> edges = preprocess(std::move(el), opts.symmetrize, opts);
-  if (!opts.symmetrize) {
-    // Caller explicitly opted out of symmetrisation but requested the
-    // shared-adjacency constructor; that is only sound if the input is
-    // already symmetric, which we cannot cheaply verify — build both
-    // directions instead.
-    auto out = pack(n, edges, /*by_src=*/true, opts);
-    auto in = pack(n, edges, /*by_src=*/false, opts);
-    CsrGraph g(std::move(out.offsets), std::move(out.targets),
-               std::move(in.offsets), std::move(in.targets));
-    BFSX_PARANOID(g.assert_invariants(opts.sort_neighbors));
-    return g;
-  }
-  auto arrays = pack(n, edges, /*by_src=*/true, opts);
-  CsrGraph g(std::move(arrays.offsets), std::move(arrays.targets));
-  BFSX_PARANOID(g.assert_invariants(opts.sort_neighbors));
-  return g;
+  return build(std::move(el), opts.symmetrize, opts.remove_self_loops);
 }
 
 CsrGraph build_directed_csr(EdgeList el, const BuildOptions& opts) {
-  validate_edge_list(el);
-  const vid_t n = el.num_vertices;
-  std::vector<Edge> edges = preprocess(std::move(el), /*symmetrize=*/false, opts);
-  auto out = pack(n, edges, /*by_src=*/true, opts);
-  auto in = pack(n, edges, /*by_src=*/false, opts);
-  CsrGraph g(std::move(out.offsets), std::move(out.targets),
-             std::move(in.offsets), std::move(in.targets));
-  BFSX_PARANOID(g.assert_invariants(opts.sort_neighbors));
-  return g;
+  return build(std::move(el), /*symmetrize=*/false, opts.remove_self_loops);
 }
 
 }  // namespace bfsx::graph

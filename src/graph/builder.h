@@ -15,13 +15,6 @@ struct BuildOptions {
   /// Drop (v, v) edges. Self loops add no BFS work but skew degree
   /// statistics; Graph 500 permits removing them.
   bool remove_self_loops = true;
-
-  /// Collapse parallel duplicate edges to one.
-  bool deduplicate = true;
-
-  /// Keep adjacency lists sorted ascending (required by
-  /// CsrGraph::has_edge and by deterministic traversal order).
-  bool sort_neighbors = true;
 };
 
 /// Checks every endpoint lies in [0, num_vertices). Parallelised over
@@ -34,12 +27,15 @@ struct BuildOptions {
 /// validation apart from construction.
 void validate_edge_list(const EdgeList& el);
 
-/// Builds a CSR graph from an edge list. The input list is taken by
-/// value because construction permutes it in place (counting sort into
-/// buckets); pass std::move when the caller no longer needs it.
-/// Construction is parallel (per-thread degree histograms, blocked
-/// scatter, per-row sort/dedup) and deterministic: offsets and targets
-/// are bit-identical for every OMP_NUM_THREADS, including serial builds.
+/// Builds a CSR graph from an edge list. Every row is sorted ascending
+/// and holds each neighbour once (CsrGraph::has_edge, DeltaCsr and
+/// CompressedCsrView rely on this). The list is taken by value and
+/// released once its edges are scattered; pass std::move when the
+/// caller no longer needs it. Construction is parallel (a counting-sort
+/// scatter of the edges, a transpose that leaves every row sorted, a
+/// per-row dedup) and deterministic: offsets and targets are
+/// bit-identical for every OMP_NUM_THREADS, including serial builds.
+/// With `symmetrize` off it builds what build_directed_csr builds.
 [[nodiscard]] CsrGraph build_csr(EdgeList edges, const BuildOptions& opts = {});
 
 /// Builds a *directed* CSR (no symmetrisation) with separate in/out

@@ -44,8 +44,8 @@ detail::CompressedAdjacency compress_side(const EidArray& offsets,
   }
   if (unsorted) {
     throw std::invalid_argument(
-        "CompressedCsrView: adjacency rows must be sorted ascending "
-        "(build with sort_neighbors)");
+        "CompressedCsrView: adjacency rows must be sorted ascending, "
+        "as build_csr leaves them");
   }
   for (std::size_t v = 0; v < n; ++v) {
     adj.byte_offsets[v + 1] += adj.byte_offsets[v];

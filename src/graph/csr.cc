@@ -11,8 +11,7 @@ namespace {
 /// Shared structural checks over one adjacency (offsets, targets) pair.
 /// `side` labels failures "out" or "in".
 void check_adjacency(const char* side, const EidArray& offsets,
-                     const VidArray& targets, bool expect_sorted,
-                     check::CheckReport& report) {
+                     const VidArray& targets, check::CheckReport& report) {
   if (offsets.empty()) {
     report.failf() << side << "-offsets empty (no vertex sentinel)";
     return;
@@ -40,39 +39,30 @@ void check_adjacency(const char* side, const EidArray& offsets,
                      << " out of range [0, " << vn << ")";
     }
   }
-  if (expect_sorted) {
-    for (std::size_t v = 0; v < n && report.wants_more(); ++v) {
-      const auto lo = static_cast<std::size_t>(offsets[v]);
-      const auto hi = static_cast<std::size_t>(offsets[v + 1]);
-      if (hi > targets.size() || offsets[v] < 0) continue;  // reported above
-      for (std::size_t i = lo + 1; i < hi; ++i) {
-        if (targets[i - 1] > targets[i]) {
-          report.failf() << side << "-row of vertex " << v
-                         << " not sorted ascending at slot " << i << " ("
-                         << targets[i - 1] << " > " << targets[i] << ")";
-          break;  // one failure per row is enough to show the pattern
-        }
+  for (std::size_t v = 0; v < n && report.wants_more(); ++v) {
+    const auto lo = static_cast<std::size_t>(offsets[v]);
+    const auto hi = static_cast<std::size_t>(offsets[v + 1]);
+    if (hi > targets.size() || offsets[v] < 0) continue;  // reported above
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      if (targets[i - 1] > targets[i]) {
+        report.failf() << side << "-row of vertex " << v
+                       << " not sorted ascending at slot " << i << " ("
+                       << targets[i - 1] << " > " << targets[i] << ")";
+        break;  // one failure per row is enough to show the pattern
       }
     }
   }
 }
 
-/// True iff `v` appears in the (offsets, targets) row of `u`; binary
-/// search when rows are sorted, linear otherwise.
-bool row_contains(const EidArray& offsets,
-                  const VidArray& targets, vid_t u, vid_t v,
-                  bool sorted) {
+/// True iff `v` appears in the sorted (offsets, targets) row of `u`.
+bool row_contains(const EidArray& offsets, const VidArray& targets, vid_t u,
+                  vid_t v) {
   const auto lo = static_cast<std::size_t>(offsets[static_cast<std::size_t>(u)]);
   const auto hi =
       static_cast<std::size_t>(offsets[static_cast<std::size_t>(u) + 1]);
-  if (sorted) {
-    return std::binary_search(targets.begin() + static_cast<std::ptrdiff_t>(lo),
-                              targets.begin() + static_cast<std::ptrdiff_t>(hi),
-                              v);
-  }
-  return std::find(targets.begin() + static_cast<std::ptrdiff_t>(lo),
-                   targets.begin() + static_cast<std::ptrdiff_t>(hi),
-                   v) != targets.begin() + static_cast<std::ptrdiff_t>(hi);
+  return std::binary_search(targets.begin() + static_cast<std::ptrdiff_t>(lo),
+                            targets.begin() + static_cast<std::ptrdiff_t>(hi),
+                            v);
 }
 
 }  // namespace
@@ -118,12 +108,9 @@ std::size_t CsrGraph::memory_footprint_bytes() const noexcept {
          bytes(in_targets_);
 }
 
-void CsrGraph::check_invariants(check::CheckReport& report,
-                                bool expect_sorted) const {
-  check_adjacency("out", out_offsets_, out_targets_, expect_sorted, report);
-  if (!symmetric_) {
-    check_adjacency("in", in_offsets_, in_targets_, expect_sorted, report);
-  }
+void CsrGraph::check_invariants(check::CheckReport& report) const {
+  check_adjacency("out", out_offsets_, out_targets_, report);
+  if (!symmetric_) check_adjacency("in", in_offsets_, in_targets_, report);
   // Cross-adjacency checks index freely; bail if the basic structure is
   // already broken.
   if (!report.ok()) return;
@@ -135,7 +122,7 @@ void CsrGraph::check_invariants(check::CheckReport& report,
     // shared array as in-neighbours) silently diverges from top-down.
     for (vid_t u = 0; u < n && report.wants_more(); ++u) {
       for (vid_t v : out_neighbors(u)) {
-        if (!row_contains(out_offsets_, out_targets_, v, u, expect_sorted)) {
+        if (!row_contains(out_offsets_, out_targets_, v, u)) {
           report.failf() << "undirected edge (" << u << "," << v
                          << ") has no mirror (" << v << "," << u << ")";
           if (!report.wants_more()) return;
@@ -152,7 +139,7 @@ void CsrGraph::check_invariants(check::CheckReport& report,
     }
     for (vid_t u = 0; u < n && report.wants_more(); ++u) {
       for (vid_t v : out_neighbors(u)) {
-        if (!row_contains(in_offsets_, in_targets_, v, u, expect_sorted)) {
+        if (!row_contains(in_offsets_, in_targets_, v, u)) {
           report.failf() << "out-edge (" << u << "," << v
                          << ") missing from the in-adjacency of " << v;
           if (!report.wants_more()) return;
@@ -162,9 +149,9 @@ void CsrGraph::check_invariants(check::CheckReport& report,
   }
 }
 
-void CsrGraph::assert_invariants(bool expect_sorted) const {
+void CsrGraph::assert_invariants() const {
   check::CheckReport report;
-  check_invariants(report, expect_sorted);
+  check_invariants(report);
   report.throw_if_failed("CsrGraph::check_invariants");
 }
 

@@ -96,17 +96,16 @@ class CsrGraph {
 
   /// Paranoid structural validator (BFSX_PARANOID tier; O(V + E log d)).
   /// Appends numbered failures to `report`: offset monotonicity and
-  /// bounds, target range, per-row sort order (when `expect_sorted`),
-  /// out/in mirror-edge symmetry for the shared-adjacency
-  /// representation, and out/in transpose consistency for directed
-  /// graphs. build_csr wires this behind BFSX_PARANOID; tests and the
-  /// CLI's --paranoid flag call it directly.
-  void check_invariants(check::CheckReport& report,
-                        bool expect_sorted = true) const;
+  /// bounds, target range, per-row sort order, out/in mirror-edge
+  /// symmetry for the shared-adjacency representation, and out/in
+  /// transpose consistency for directed graphs. build_csr wires this
+  /// behind BFSX_PARANOID; tests and the CLI's --paranoid flag call it
+  /// directly.
+  void check_invariants(check::CheckReport& report) const;
 
   /// Convenience wrapper: throws check::ContractViolation listing every
   /// retained failure.
-  void assert_invariants(bool expect_sorted = true) const;
+  void assert_invariants() const;
 
  private:
   EidArray out_offsets_;

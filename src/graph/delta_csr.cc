@@ -56,11 +56,6 @@ DeltaCsr DeltaCsr::apply(std::shared_ptr<const CsrGraph> base,
   if (base == nullptr) {
     throw std::invalid_argument("DeltaCsr::apply: null base");
   }
-  if (!opts.sort_neighbors || !opts.deduplicate) {
-    throw std::invalid_argument(
-        "DeltaCsr::apply: delta overlays require canonical rows "
-        "(sort_neighbors && deduplicate)");
-  }
   if (prev != nullptr && prev->base_.get() != base.get()) {
     throw std::invalid_argument(
         "DeltaCsr::apply: prev overlays a different base");

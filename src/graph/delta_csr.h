@@ -51,12 +51,12 @@ class DeltaCsr {
   /// `base` when `prev` is null; `prev`, when given, must overlay this
   /// same `base`). Ops are raw directed edges, expanded exactly the way
   /// build_csr's options would: `opts.symmetrize` mirrors every insert
-  /// and remove, `opts.remove_self_loops` drops (v, v) inserts. The
-  /// canonical row form is required — throws std::invalid_argument
-  /// unless opts.sort_neighbors && opts.deduplicate, or on a negative
-  /// endpoint. Inserts may name vertices past the current count (the
-  /// vertex set grows); removes of absent edges are no-ops. A row whose
-  /// effective adjacency ends up unchanged is not counted as patched.
+  /// and remove, `opts.remove_self_loops` drops (v, v) inserts. Patched
+  /// rows keep build_csr's canonical form, sorted and duplicate-free.
+  /// Throws std::invalid_argument on a negative endpoint. Inserts may
+  /// name vertices past the current count (the vertex set grows);
+  /// removes of absent edges are no-ops. A row whose effective
+  /// adjacency ends up unchanged is not counted as patched.
   [[nodiscard]] static DeltaCsr apply(std::shared_ptr<const CsrGraph> base,
                                       const DeltaCsr* prev,
                                       std::span<const Edge> inserts,

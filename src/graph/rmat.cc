@@ -57,19 +57,17 @@ Edge draw_edge(const RmatParams& p, Xoshiro256ss& rng) {
       lb /= sum;
       lc /= sum;
     }
+    // r picks top-left below la, top-right below la + lb, bottom-left
+    // below la + lb + lc and bottom-right above. The three bits count
+    // the bounds r passed (g1 <= g2 <= g3), so the row bit is g2 and the
+    // column bit is their parity. Comparisons, not branches: at a = 0.57
+    // the first test is nearly a coin flip for a branch predictor.
     const double r = rng.next_double();
-    row <<= 1;
-    col <<= 1;
-    if (r < la) {
-      // top-left quadrant: no bits set
-    } else if (r < la + lb) {
-      col |= 1;  // top-right
-    } else if (r < la + lb + lc) {
-      row |= 1;  // bottom-left
-    } else {
-      row |= 1;  // bottom-right
-      col |= 1;
-    }
+    const std::uint64_t g1 = !(r < la);
+    const std::uint64_t g2 = !(r < la + lb);
+    const std::uint64_t g3 = !(r < la + lb + lc);
+    row = (row << 1) | g2;
+    col = (col << 1) | (g1 ^ g2 ^ g3);
   }
   return {static_cast<vid_t>(row), static_cast<vid_t>(col)};
 }

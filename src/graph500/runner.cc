@@ -141,9 +141,11 @@ BenchmarkResult run_benchmark(const graph::CsrGraph& g,
     std::exception_ptr first_error;
     std::mutex error_mu;
     const auto count = static_cast<std::int64_t>(num_chunks);
+#ifdef _OPENMP
     // omp-lint: allow(shared-write) first_error is assigned under
     //           error_mu; eval_chunk writes only chunk-disjoint slots
 #pragma omp parallel for schedule(dynamic, 1)
+#endif
     for (std::int64_t c = 0; c < count; ++c) {
       try {
         eval_chunk(static_cast<std::size_t>(c));

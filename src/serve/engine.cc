@@ -48,7 +48,9 @@ bfs::BfsResult map_out(const bfs::BfsResult& tree,
   out.parent.resize(tree.parent.size());
   out.level.resize(tree.level.size());
   const auto n = static_cast<std::int64_t>(tree.level.size());
+#ifdef _OPENMP
 #pragma omp parallel for schedule(static)
+#endif
   for (std::int64_t w = 0; w < n; ++w) {
     const auto i = static_cast<std::size_t>(w);
     const auto x =

@@ -975,9 +975,13 @@ TEST(FrontierHelpers, OrderedFilterMatchesCopyIfInPlace) {
     std::vector<vid_t> nested;
     std::vector<vid_t> restaged = input;
     const vid_t* refrom = restaged.data();
+#ifdef _OPENMP
 #pragma omp parallel num_threads(2)
+#endif
     {
+#ifdef _OPENMP
 #pragma omp single
+#endif
       filter_ordered(
           n, restaged.data(), spans, nested,
           [refrom](std::size_t i) { return refrom[i]; }, keep);

@@ -252,15 +252,6 @@ TEST(DeltaCsr, ApplyValidatesItsInputs) {
   EXPECT_THROW((void)DeltaCsr::apply(nullptr, nullptr, one, {}),
                std::invalid_argument);
 
-  BuildOptions unsorted;
-  unsorted.sort_neighbors = false;
-  EXPECT_THROW((void)DeltaCsr::apply(base, nullptr, one, {}, unsorted),
-               std::invalid_argument);
-  BuildOptions dup;
-  dup.deduplicate = false;
-  EXPECT_THROW((void)DeltaCsr::apply(base, nullptr, one, {}, dup),
-               std::invalid_argument);
-
   const std::vector<Edge> negative = {{-1, 3}};
   EXPECT_THROW((void)DeltaCsr::apply(base, nullptr, negative, {}),
                std::invalid_argument);

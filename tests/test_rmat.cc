@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
 
 #ifdef _OPENMP
@@ -12,6 +15,8 @@
 
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
+#include "kernel1_digest.h"
+#include "thread_count.h"
 
 namespace bfsx::graph {
 namespace {
@@ -166,6 +171,56 @@ TEST(Rmat, SingleBlockAndMultiBlockListsAreBothDeterministic) {
     EXPECT_EQ(a.edges, b.edges) << "scale=" << scale;
   }
 }
+
+TEST(Rmat, QuadrantFrequenciesMatchProbabilities) {
+  // At scale 1 each edge is one quadrant draw: (row, col) = (0, 0) with
+  // probability a, (0, 1) with b, (1, 0) with c and (1, 1) with d. b != c
+  // here, so a swapped row and column bit shows.
+  RmatParams p;
+  p.scale = 1;
+  p.edgefactor = 1 << 15;
+  p.a = 0.45;
+  p.b = 0.25;
+  p.c = 0.2;
+  p.d = 0.1;
+  p.noise = 0.0;
+  p.permute_vertices = false;
+  const EdgeList el = generate_rmat(p);
+  std::array<double, 4> share{};
+  for (const Edge& e : el.edges) {
+    share[static_cast<std::size_t>(2 * e.src + e.dst)] += 1;
+  }
+  const std::array<double, 4> expected{p.a, p.b, p.c, p.d};
+  for (std::size_t q = 0; q < share.size(); ++q) {
+    EXPECT_NEAR(share[q] / static_cast<double>(el.edges.size()), expected[q],
+                0.01)
+        << "(row, col) = (" << q / 2 << ", " << q % 2 << ")";
+  }
+}
+
+// Kernel 1's bytes: every benchmark graph and the golden trace depend on
+// them, so the generator's output must not move at any thread count.
+class RmatDigest : public ::testing::TestWithParam<int> {
+ protected:
+  test::ThreadCountGuard guard_;
+};
+
+TEST_P(RmatDigest, EdgeListsMatchPinnedDigests) {
+  test::set_threads(GetParam());
+  constexpr std::uint64_t kPinned[] = {
+      0x019a15f5292774fcULL, 0x34d6d0ffdd6e42baULL,
+      0x2b3ec079672e3390ULL, 0x0cb243a9a26296e2ULL,
+      0x95c0b2991a2a3facULL, 0x586b7adbd7593433ULL,
+  };
+  const std::vector<RmatParams> params = test::pinned_rmat_params();
+  ASSERT_EQ(params.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(test::digest(generate_rmat(params[i])), kPinned[i])
+        << "scale " << params[i].scale << ", noise " << params[i].noise;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, RmatDigest, ::testing::Values(1, 4));
 
 TEST(RmatValidate, RejectsBadParameters) {
   RmatParams p;
